@@ -7,8 +7,9 @@ series per numeric metric (``sweep.modes.sweep.pairs_per_second``,
 ``index.tiers.10000.modes.query_index.seconds``, ...), each holding an
 ordered history of distinct values and the best value ever recorded::
 
-    PYTHONPATH=src python -m benchmarks.trend            # ingest + table
-    PYTHONPATH=src python -m benchmarks.trend --check    # CI gate
+    python -m benchmarks.trend            # ingest + table
+    python -m benchmarks.trend --check    # CI gate
+    python benchmarks/trend.py --check    # the same, as a script
 
 ``--check`` compares the *current* bench files against each series'
 recorded best and fails (exit 1) when a metric has regressed past the
@@ -35,9 +36,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from benchmarks.summarize import collect
-
 ROOT = Path(__file__).resolve().parent.parent
+
+if __package__ in (None, ""):
+    # Run as a script: the ``benchmarks`` package lives in the repository
+    # root, which is not on the path the way it is under ``-m``.
+    sys.path.insert(0, str(ROOT))
+
+from benchmarks.summarize import collect  # noqa: E402 - needs the path above
 
 DEFAULT_REGISTRY = ROOT / "BENCH_trend.json"
 

@@ -56,8 +56,11 @@ from __future__ import annotations
 import os
 import time
 import warnings
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import (
     Any,
     Dict,
@@ -81,7 +84,7 @@ from repro.core.engine import (
 )
 from repro.core.guarded import DEFAULT_EPSILON
 from repro.core.matrix import PercentageMatrix
-from repro.core.relation import CardinalDirection
+from repro.core.relation import RELATIONS_BY_MASK, CardinalDirection
 from repro.core.tiles import Tile
 from repro.core.validate import ERROR, validate_region
 from repro.errors import DeadlineExceeded, GeometryError, InjectedFault, ReproError
@@ -335,6 +338,22 @@ def _bulk_row(
     return row
 
 
+def _unusable_outcome(
+    primary_id: str, reference_id: str, broken: Dict[str, str]
+) -> PairOutcome:
+    """A pair with an unusable region on either side, primary named first."""
+    return PairOutcome(
+        primary_id,
+        reference_id,
+        FAILED,
+        error="; ".join(
+            f"region {region_id!r} unusable: {broken[region_id]}"
+            for region_id in (primary_id, reference_id)
+            if region_id in broken
+        ),
+    )
+
+
 def _deadline_outcome(
     primary_id: str, reference_id: str, detail: str = ""
 ) -> PairOutcome:
@@ -542,20 +561,9 @@ def _sweep_rows(
         row: Dict[str, PairOutcome] = {}
         computable: List[str] = []
         for reference_id in reference_ids:
-            unusable = [
-                region_id
-                for region_id in (primary_id, reference_id)
-                if region_id in broken
-            ]
-            if unusable:
-                row[reference_id] = PairOutcome(
-                    primary_id,
-                    reference_id,
-                    FAILED,
-                    error="; ".join(
-                        f"region {region_id!r} unusable: {broken[region_id]}"
-                        for region_id in unusable
-                    ),
+            if primary_id in broken or reference_id in broken:
+                row[reference_id] = _unusable_outcome(
+                    primary_id, reference_id, broken
                 )
             else:
                 computable.append(reference_id)
@@ -707,22 +715,6 @@ def _worker_chunk(
 # ---------------------------------------------------------------------------
 # Shared-memory plane executor
 # ---------------------------------------------------------------------------
-
-#: Interned relation per tile bitmask — a plane sweep would otherwise
-#: materialise one identical :class:`CardinalDirection` per pair.
-_RELATION_CACHE: Dict[int, CardinalDirection] = {}
-
-
-def _relation_from_mask(mask: int) -> CardinalDirection:
-    """The direction relation named by a plane tile bitmask (interned)."""
-    relation = _RELATION_CACHE.get(mask)
-    if relation is None:
-        relation = CardinalDirection(
-            *[tile for tile in Tile if mask & (1 << int(tile))]
-        )
-        _RELATION_CACHE[mask] = relation
-    return relation
-
 
 #: Floor on the adaptive chunk size — below this the dispatch overhead
 #: (IPC round-trip, task bookkeeping) dominates the row work.
@@ -948,116 +940,115 @@ def _assemble_plane_rows(
     columns in the caller's order (both ``None`` for the full matrix),
     so restricted outcomes match the serial restricted sweep pair for
     pair.
+
+    A million pairs at a thousand regions pass through here, so each row
+    is built in bulk: its masks and paths become lists once, relations
+    come from :data:`~repro.core.relation.RELATIONS_BY_MASK`, and the
+    outcomes are made by ``map``/``zip`` over ``tuple.__new__`` without
+    a Python-level loop per pair.  The pairs a mask cannot answer all
+    carry mask 0 — self, broken and empty-mask columns — and are
+    patched afterwards.
     """
     from repro.core.sweep import (
         AREA_TILE_ORDER,
         BROADCAST_PATH,
+        PLANE_PATH_BROADCAST,
         PLANE_PATH_PRUNE,
         PRUNE_PATH,
         prune_matrix,
     )
 
-    # The hottest loop of a parallel sweep — a million iterations at a
-    # thousand regions, so the body is tuned: numpy rows become plain
-    # lists once (scalar ndarray indexing is ~10x a list index), the
-    # self column is an integer compare (chunk positions resolve to
-    # global rows once per row), the broken/repaired lookups collapse
-    # to constants when those maps are empty (the common case), and
-    # outcomes are built positionally.
-    outcomes: List[PairOutcome] = []
-    append = outcomes.append
     ids = list(all_ids)
-    n = len(ids)
-    columns_iter = (
-        range(n) if column_positions is None else list(column_positions)
+    columns = (
+        list(range(len(ids)))
+        if column_positions is None
+        else list(column_positions)
     )
-    path_names = (None, PRUNE_PATH, BROADCAST_PATH)
-    relation_cache = _RELATION_CACHE
-    any_broken = bool(broken)
-    any_repairs = bool(repairs)
-    repaired_columns = (
-        [region_id in repairs for region_id in ids] if any_repairs else None
-    )
+    reference_ids = [ids[column] for column in columns]
+    mask_block = masks[:rows_done]
+    path_block = paths[:rows_done]
+    if column_positions is not None:
+        mask_block = mask_block[:, columns]
+        path_block = path_block[:, columns]
+    # Per row, the slots whose mask is 0: self, broken and empty-mask pairs.
+    unanswered: List[List[int]] = [[] for _ in range(rows_done)]
+    for row_offset, slot in zip(*(mask_block == 0).nonzero()):
+        unanswered[row_offset].append(int(slot))
+    slots_of: Dict[int, List[int]] = {}
+    for slot, column in enumerate(columns):
+        slots_of.setdefault(column, []).append(slot)
+    column_statuses = [
+        REPAIRED if reference_id in repairs else OK
+        for reference_id in reference_ids
+    ]
+    relation_of = RELATIONS_BY_MASK.__getitem__
+    path_name_of = (None, PRUNE_PATH, BROADCAST_PATH).__getitem__
+    prune_by_mask = {1 << tile: prune_matrix(tile) for tile in Tile}
+
+    def matrix_of(
+        mask: int, path: int, cells: List[float]
+    ) -> Optional[PercentageMatrix]:
+        if path == PLANE_PATH_PRUNE:
+            return prune_by_mask[mask]
+        if path == PLANE_PATH_BROADCAST:
+            return PercentageMatrix.from_areas(dict(zip(AREA_TILE_ORDER, cells)))
+        return None
+
+    new_outcome: Any = tuple.__new__
+    outcomes: List[PairOutcome] = []
     for row_offset in range(rows_done):
+        mask_row = mask_block[row_offset].tolist()
+        path_row = path_block[row_offset].tolist()
         position = start + row_offset
         row_index = position if row_lookup is None else row_lookup[position]
         primary_id = ids[row_index]
-        primary_broken = any_broken and primary_id in broken
-        primary_repaired = any_repairs and primary_id in repairs
-        mask_row = masks[row_offset].tolist()
-        path_row = paths[row_offset].tolist()
-        self_column = -1 if include_self else row_index
-        for column in columns_iter:
-            if column == self_column:
-                continue
-            reference_id = ids[column]
-            if primary_broken or (any_broken and reference_id in broken):
-                unusable = [
-                    region_id
-                    for region_id in (primary_id, reference_id)
-                    if region_id in broken
-                ]
-                append(
-                    PairOutcome(
-                        primary_id,
-                        reference_id,
-                        FAILED,
-                        None,
-                        None,
-                        "; ".join(
-                            f"region {region_id!r} unusable: "
-                            f"{broken[region_id]}"
-                            for region_id in unusable
-                        ),
-                        None,
-                    )
-                )
-                continue
-            mask = mask_row[column]
-            if mask == 0:  # pragma: no cover - kernel always occupies a tile
-                append(
-                    PairOutcome(
-                        primary_id,
-                        reference_id,
-                        FAILED,
-                        None,
-                        None,
-                        "plane kernel produced an empty tile mask",
-                        None,
-                    )
-                )
-                continue
-            path_code = path_row[column]
-            matrix: Optional[PercentageMatrix] = None
+        if primary_id in broken:
+            row = [
+                _unusable_outcome(primary_id, reference_id, broken)
+                for reference_id in reference_ids
+            ]
+        else:
+            matrices: Any = repeat(None)
             if percentages:
-                if path_code == PLANE_PATH_PRUNE:
-                    matrix = prune_matrix(Tile(mask.bit_length() - 1))
-                elif areas is not None:
-                    matrix = PercentageMatrix.from_areas(
-                        {
-                            tile: float(value)
-                            for tile, value in zip(
-                                AREA_TILE_ORDER, areas[row_offset, column]
-                            )
-                        }
-                    )
-            relation = relation_cache.get(mask)
-            if relation is None:
-                relation = _relation_from_mask(mask)
-            append(
-                PairOutcome(
-                    primary_id,
-                    reference_id,
-                    REPAIRED
-                    if primary_repaired
-                    or (repaired_columns is not None and repaired_columns[column])
-                    else OK,
-                    relation,
-                    matrix,
-                    None,
-                    path_names[path_code],
+                cells_row = (
+                    areas[row_offset]
+                    if column_positions is None
+                    else areas[row_offset, columns]
+                ).tolist()
+                matrices = map(matrix_of, mask_row, path_row, cells_row)
+            row = list(
+                map(
+                    new_outcome,
+                    repeat(PairOutcome),
+                    zip(
+                        repeat(primary_id),
+                        reference_ids,
+                        repeat(REPAIRED)
+                        if primary_id in repairs
+                        else column_statuses,
+                        map(relation_of, mask_row),
+                        matrices,
+                        repeat(None),
+                        map(path_name_of, path_row),
+                    ),
                 )
             )
+            for slot in unanswered[row_offset]:
+                reference_id = reference_ids[slot]
+                row[slot] = (
+                    _unusable_outcome(primary_id, reference_id, broken)
+                    if reference_id in broken
+                    else PairOutcome(
+                        primary_id,
+                        reference_id,
+                        FAILED,
+                        error="plane kernel produced an empty tile mask",
+                    )
+                )
+        if not include_self:
+            for slot in reversed(slots_of.get(row_index, [])):
+                del row[slot]
+        outcomes += row
     return outcomes
 
 
@@ -1682,10 +1673,9 @@ def batch_relations(
                         repair=repair,
                         policy=policy,
                     )
-            failed = sum(1 for outcome in outcomes if not outcome.ok)
-            deadline_hit = any(
-                outcome.status == DEADLINE for outcome in outcomes
-            )
+            tally = Counter(map(attrgetter("status"), outcomes))
+            failed = len(outcomes) - tally[OK] - tally[REPAIRED]
+            deadline_hit = tally[DEADLINE] > 0
             batch_span.set(
                 pairs=len(outcomes),
                 failed=failed,
@@ -1699,9 +1689,8 @@ def batch_relations(
             "Pair outcomes produced by batch sweeps.",
         )
         for status in (OK, REPAIRED, FAILED, DEADLINE):
-            count = sum(1 for outcome in outcomes if outcome.status == status)
-            if count:
-                counter.inc(count, status=status)
+            if tally[status]:
+                counter.inc(tally[status], status=status)
     return BatchReport(
         outcomes,
         repairs,

@@ -15,7 +15,7 @@ basic relations.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import RelationError
 from repro.core.tiles import CANONICAL_ORDER, Tile
@@ -151,6 +151,20 @@ def _all_basic_relations() -> Tuple[CardinalDirection, ...]:
 
 #: All 511 basic relations of ``D*``, sorted by tile count then canonically.
 ALL_BASIC_RELATIONS: Tuple[CardinalDirection, ...] = _all_basic_relations()
+
+
+def _relations_by_mask() -> Tuple[Optional[CardinalDirection], ...]:
+    table: List[Optional[CardinalDirection]] = [None] * (1 << 9)
+    for relation in ALL_BASIC_RELATIONS:
+        table[sum(1 << int(tile) for tile in relation.tiles)] = relation
+    return tuple(table)
+
+
+#: The basic relation named by a tile bitmask (bit ``int(tile)`` set per
+#: tile; entry 0 is ``None``).  Kernels that report tiles as bitmasks
+#: look their answers up here, so every pair with the same tiles shares
+#: one of the :data:`ALL_BASIC_RELATIONS` objects.
+RELATIONS_BY_MASK: Tuple[Optional[CardinalDirection], ...] = _relations_by_mask()
 
 
 class DisjunctiveCD:

@@ -57,7 +57,7 @@ from repro.core.fast import (
     tile_areas_fast,
 )
 from repro.core.matrix import PercentageMatrix
-from repro.core.relation import CardinalDirection
+from repro.core.relation import RELATIONS_BY_MASK, CardinalDirection
 from repro.core.tiles import Tile
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.predicates import point_in_polygon
@@ -154,9 +154,18 @@ def single_tile_prune(
     return Tile.from_bands(column, row)
 
 
+#: One 100 %-in-one-tile matrix per tile, shared by every pruned pair.
+_PRUNE_MATRICES: Dict[Tile, PercentageMatrix] = {
+    tile: PercentageMatrix({tile: 100}) for tile in Tile
+}
+
+
 def prune_matrix(tile: Tile) -> PercentageMatrix:
-    """The exact 100 %-in-one-tile percentage matrix of a pruned pair."""
-    return PercentageMatrix({tile: 100})
+    """The exact 100 %-in-one-tile percentage matrix of a pruned pair.
+
+    The same immutable object for every pair pruned to ``tile``.
+    """
+    return _PRUNE_MATRICES[tile]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +433,7 @@ class SweepEngine(Engine):
     def _relation(self, primary, box):
         tile = single_tile_prune(self.primary_box(primary), box)
         if tile is not None:
-            return CardinalDirection(tile), PRUNE_PATH
+            return RELATIONS_BY_MASK[1 << tile], PRUNE_PATH
         relation = compute_cdr_fast_against_box(
             primary, box, arrays=self.edge_arrays(primary)
         )
@@ -449,7 +458,7 @@ class SweepEngine(Engine):
             "relation",
             primary,
             boxes,
-            prune=lambda tile: CardinalDirection(tile),
+            prune=lambda tile: RELATIONS_BY_MASK[1 << tile],
             kernel=compute_cdr_fast_many,
         )
 

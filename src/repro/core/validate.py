@@ -15,6 +15,15 @@ interior overlaps (legal for the algorithms, which treat regions
 independently, but usually an annotation mistake — reported as a
 warning).  The CLI's ``validate --strict`` surfaces all of it.
 
+Both checks run on every region before a batch sweep computes any pair,
+so they never divide.  Edge pairs whose bounding boxes are disjoint are
+skipped; contact is read from the signs of cross-product numerators
+(:func:`~repro.geometry.predicates.crossing_numerators`), and the
+midpoint probes run on doubled coordinates, where the midpoint of ``ab``
+is ``a + b``.  Integer coordinates therefore stay integers throughout,
+and for ``int`` and ``Fraction`` input every answer is exactly the one
+the divided-out parameters give.
+
 :func:`repair_validated_region` / :func:`repair_validated_configuration`
 close the loop with the repair pipeline (:mod:`repro.geometry.repair`):
 they route geometry through ``repair_region``, translate every applied
@@ -31,9 +40,14 @@ from typing import List, Optional, Tuple
 from repro.geometry.point import Coordinate
 
 from repro.cardirect.model import Configuration
-from repro.geometry.intersect import segments_intersection_parameter
 from repro.geometry.polygon import Polygon
-from repro.geometry.predicates import point_strictly_in_polygon
+from repro.geometry.predicates import (
+    EdgeBox,
+    boxes_disjoint,
+    crossing_numerators,
+    edge_boxes,
+    point_strictly_inside,
+)
 from repro.geometry.region import Region
 
 #: Issue severities: errors break the algorithms' assumptions; warnings
@@ -56,21 +70,36 @@ class ValidationIssue:
         return f"{self.severity}{scope}: {self.message}"
 
 
-def _edges_properly_cross(first, second) -> bool:
-    """Strict interior crossing of two segments (shared endpoints allowed)."""
-    params = segments_intersection_parameter(
-        first.start, (first.dx, first.dy), second.start, (second.dx, second.dy)
-    )
-    if params is None:
-        return False
-    t, u = params
-    return 0 < t < 1 and 0 < u < 1
+def _edges_properly_cross(first: EdgeBox, second: EdgeBox) -> bool:
+    """Strict interior crossing of two edges (shared endpoints allowed)."""
+    denom, t_num, u_num = crossing_numerators(first, second)
+    return 0 < t_num < denom and 0 < u_num < denom
+
+
+def _doubled(
+    polygon: Polygon,
+) -> Tuple[List[EdgeBox], List[Tuple[Coordinate, Coordinate]]]:
+    """The polygon scaled by two: its edges, and its vertices followed by
+    its edge midpoints.
+
+    Scaling by two changes no sign or comparison below, and puts every
+    edge midpoint on the coordinates' own type — the doubled midpoint of
+    ``ab`` is ``a + b`` — so integer input is never halved into
+    fractions.
+    """
+    vertices = polygon.vertices
+    doubled = [(2 * vertex.x, 2 * vertex.y) for vertex in vertices]
+    midpoints = [
+        (start.x + end.x, start.y + end.y)
+        for start, end in zip(vertices, vertices[1:] + vertices[:1])
+    ]
+    return edge_boxes(doubled), doubled + midpoints
 
 
 def polygons_interiors_overlap(first: Polygon, second: Polygon) -> bool:
     """Do two simple polygons share interior points?
 
-    Checks (in order): proper edge crossings, vertices of one strictly
+    Checks for proper edge crossings, vertices of one strictly
     inside the other (containment without boundary crossing), and edge
     midpoints strictly inside the other (crossings that pass exactly
     through vertices).  This decides every practically occurring
@@ -78,25 +107,23 @@ def polygons_interiors_overlap(first: Polygon, second: Polygon) -> bool:
     boundary interaction runs through coincident vertices with all
     midpoints outside — detecting that exactly requires full polygon
     boolean operations, which a diagnostics pass does not justify.
+
+    Every test runs on doubled coordinates (see :func:`_doubled`) and
+    decides from signs and comparisons, so nothing is divided.
     """
     if not first.bounding_box().intersects(second.bounding_box()):
         return False
-    first_edges, second_edges = first.edges, second.edges
+    first_edges, first_probes = _doubled(first)
+    second_edges, second_probes = _doubled(second)
     for edge_a in first_edges:
         for edge_b in second_edges:
-            if _edges_properly_cross(edge_a, edge_b):
+            if not boxes_disjoint(edge_a, edge_b) and _edges_properly_cross(
+                edge_a, edge_b
+            ):
                 return True
-    if any(point_strictly_in_polygon(v, second) for v in first.vertices):
+    if any(point_strictly_inside(x, y, second_edges) for x, y in first_probes):
         return True
-    if any(point_strictly_in_polygon(v, first) for v in second.vertices):
-        return True
-    if any(
-        point_strictly_in_polygon(edge.midpoint, second) for edge in first_edges
-    ):
-        return True
-    return any(
-        point_strictly_in_polygon(edge.midpoint, first) for edge in second_edges
-    )
+    return any(point_strictly_inside(x, y, first_edges) for x, y in second_probes)
 
 
 def validate_region(

@@ -112,8 +112,10 @@ def segments_intersection_parameter(
     """Intersection parameters of two parametric lines ``p + t·r`` and ``q + u·s``.
 
     Returns ``(t, u)`` or ``None`` for parallel lines.  ``r`` and ``s`` are
-    ``(dx, dy)`` direction tuples.  Used by the clipping baseline; the core
-    algorithms never need a general segment × segment intersection.
+    ``(dx, dy)`` direction tuples.  Used by the repair pipeline, which
+    needs the crossing points themselves to split self-intersecting
+    rings; tests that only compare ``t`` and ``u`` with 0 and 1 use the
+    division-free :func:`repro.geometry.predicates.crossing_numerators`.
     """
     denom = r[0] * s[1] - r[1] * s[0]
     if denom == 0:

@@ -25,8 +25,15 @@ from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.bbox import BoundingBox
-from repro.geometry.intersect import segments_intersection_parameter
 from repro.geometry.point import Coordinate, Point, _half
+from repro.geometry.predicates import (
+    EdgeBox,
+    boxes_disjoint,
+    crossing_numerators,
+    edge_boxes,
+    orientation,
+    point_on_edge,
+)
 from repro.geometry.segment import Segment
 
 
@@ -103,14 +110,18 @@ class Polygon:
 
         Adjacent edges may share their common vertex only.  Edges touching
         anywhere else — including collinear overlap — make the polygon
-        non-simple.
+        non-simple.  Decided by comparisons and products of the
+        coordinates alone, so it never divides.
         """
-        edges = self.edges
-        n = len(edges)
-        for i in range(n):
-            for j in range(i + 1, n):
-                adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                if _edges_conflict(edges[i], edges[j], adjacent):
+        edges = edge_boxes([(vertex.x, vertex.y) for vertex in self._vertices])
+        last = len(edges) - 1
+        for i, first in enumerate(edges):
+            for j in range(i + 1, last + 1):
+                second = edges[j]
+                if boxes_disjoint(first, second):
+                    continue
+                adjacent = j == i + 1 or (i == 0 and j == last)
+                if _edges_conflict(first, second, adjacent):
                     return False
         return True
 
@@ -123,8 +134,6 @@ class Polygon:
         point set with the minimal vertex ring.  Returns ``self`` when
         nothing changes.
         """
-        from repro.geometry.predicates import orientation
-
         ring = list(self._vertices)
         changed = True
         while changed and len(ring) > 3:
@@ -197,30 +206,29 @@ def _canonical_rotation(ring: Tuple[Point, ...]) -> Tuple[Point, ...]:
     return ring[pivot:] + ring[:pivot]
 
 
-def _edges_conflict(e1: Segment, e2: Segment, adjacent: bool) -> bool:
+def _edges_conflict(first: EdgeBox, second: EdgeBox, adjacent: bool) -> bool:
     """True when two edges of one ring violate simplicity."""
-    from repro.geometry.predicates import point_on_segment
-
-    params = segments_intersection_parameter(
-        e1.start, (e1.dx, e1.dy), e2.start, (e2.dx, e2.dy)
-    )
-    if params is None:
+    denom, t_num, u_num = crossing_numerators(first, second)
+    if denom == 0:
         # Parallel: conflict only if they overlap collinearly in more than
         # the shared vertex.
-        overlap_points = [
-            p
-            for p in (e1.start, e1.end)
-            if point_on_segment(p, e2)
-        ] + [p for p in (e2.start, e2.end) if point_on_segment(p, e1)]
-        distinct = set(overlap_points)
-        if adjacent:
-            return len(distinct) > 1
-        return len(distinct) > 0
-    t, u = params
-    if not (0 <= t <= 1 and 0 <= u <= 1):
+        touching = {
+            (x, y)
+            for x, y, edge in (
+                (first[0], first[1], second),
+                (first[2], first[3], second),
+                (second[0], second[1], first),
+                (second[2], second[3], first),
+            )
+            if point_on_edge(x, y, edge)
+        }
+        return len(touching) > (1 if adjacent else 0)
+    if not (0 <= t_num <= denom and 0 <= u_num <= denom):
         return False
     if adjacent:
         # Adjacent edges legitimately meet at their shared vertex, i.e. at
         # an endpoint of both.
-        return not ((t == 0 or t == 1) and (u == 0 or u == 1))
+        return not (
+            (t_num == 0 or t_num == denom) and (u_num == 0 or u_num == denom)
+        )
     return True

@@ -1,6 +1,9 @@
 """Tests for the perf trend registry (benchmarks/trend.py)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,3 +201,27 @@ class TestMainEndToEnd:
         assert (REPO_ROOT / "BENCH_trend.json").exists()
         assert main(["--root", str(REPO_ROOT), "--check"]) == 0
         assert "trend check passed" in capsys.readouterr().out
+
+    def test_runs_as_a_script(self, tmp_path):
+        """``python benchmarks/trend.py`` works from any directory, without
+        ``-m`` or ``PYTHONPATH``."""
+        result = subprocess.run(
+            [
+                sys.executable,
+                str(REPO_ROOT / "benchmarks" / "trend.py"),
+                "--root",
+                str(REPO_ROOT),
+                "--check",
+            ],
+            cwd=tmp_path,
+            env={
+                name: value
+                for name, value in os.environ.items()
+                if name != "PYTHONPATH"
+            },
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "trend check passed" in result.stdout

@@ -83,6 +83,32 @@ def star_configuration(count: int, *, edges: int = 10) -> Configuration:
     return Configuration.from_regions(regions)
 
 
+def bowtie(x: float, y: float) -> Region:
+    """Clockwise and self-intersecting: repairable by splitting."""
+    return Region.from_polygon(
+        Polygon(
+            (Point(x, y + 4), Point(x + 2, y), Point(x + 2, y + 2), Point(x, y))
+        )
+    )
+
+
+def overlapping_squares(x: float, y: float) -> Region:
+    """Two squares with overlapping interiors: unrepairable."""
+    part = square(2.0).polygons[0]
+    return Region((part.translated(x, y), part.translated(x + 1, y)))
+
+
+def degenerate_star_configuration() -> Configuration:
+    """:func:`star_configuration` with two repairable bowties and two
+    unrepairable regions spliced into the id order."""
+    regions = list(star_configuration(24))
+    regions.insert(3, AnnotatedRegion("broken-a", overlapping_squares(2, 2)))
+    regions.insert(8, AnnotatedRegion("bowtie-a", bowtie(5, 1)))
+    regions.insert(15, AnnotatedRegion("broken-b", overlapping_squares(8, 6)))
+    regions.insert(21, AnnotatedRegion("bowtie-b", bowtie(1, 9)))
+    return Configuration.from_regions(regions)
+
+
 def _shm_segments():
     """Names of the live POSIX shared-memory segments (Linux)."""
     try:
@@ -339,6 +365,38 @@ class TestSerialParity:
         )
         # Full-object equality: ids, statuses, relations, percentage
         # matrices, ladder paths and error strings all compare.
+        assert parallel.outcomes == serial.outcomes
+        assert parallel.repairs == serial.repairs
+        assert parallel.broken == serial.broken
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("percentages", [False, True])
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_degenerate_map_identical_to_serial(
+        self, include_self, percentages, restricted, no_leaked_segments
+    ):
+        """Broken primaries meeting broken references, repaired bowties,
+        self pairs and restricted sweeps all assemble exactly as the
+        serial sweep answers them."""
+        configuration = degenerate_star_configuration()
+        options = {
+            "engine": "sweep",
+            "include_self": include_self,
+            "percentages": percentages,
+        }
+        if restricted:
+            options["primaries"] = ["g5", "broken-b", "bowtie-a", "broken-a", "g0"]
+            options["references"] = [
+                "broken-a", "g7", "bowtie-b", "g5", "broken-b", "g20",
+            ]
+        serial = batch_relations(configuration, **options)
+        parallel = batch_relations(configuration, workers=2, **options)
+        assert sorted(serial.broken) == ["broken-a", "broken-b"]
+        assert sorted(serial.repairs) == ["bowtie-a", "bowtie-b"]
+        assert any(
+            {outcome.primary_id, outcome.reference_id} == set(serial.broken)
+            for outcome in serial.outcomes
+        )
         assert parallel.outcomes == serial.outcomes
         assert parallel.repairs == serial.repairs
         assert parallel.broken == serial.broken
