@@ -10,20 +10,13 @@ times rather than recomputing boxes from scratch.
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.batch import BatchReport
 
 from repro.cardirect.model import AnnotatedRegion, Configuration
-from repro.core.engine import (
-    Engine,
-    EngineLike,
-    EngineStats,
-    readonly_view,
-    resolve_engine,
-)
+from repro.core.engine import Engine, EngineLike, EngineStats, resolve_engine
 from repro.core.index import SpatialIndex
 from repro.core.matrix import PercentageMatrix
 from repro.core.relation import CardinalDirection
@@ -68,8 +61,6 @@ class RelationStore:
         *,
         distance_frame: Optional[DistanceFrame] = None,
         engine: Optional[EngineLike] = None,
-        fast: bool = False,
-        guarded: bool = False,
         use_index: bool = True,
     ) -> None:
         """``engine`` selects the cardinal-direction compute backend —
@@ -81,28 +72,9 @@ class RelationStore:
         it against the cached reference mbb, and its telemetry is
         readable as :attr:`engine_stats`.
 
-        ``fast=True`` / ``guarded=True`` are deprecated aliases for
-        ``engine="fast"`` / ``engine="guarded"`` (``guarded`` takes
-        precedence, as before).
-
         ``use_index=False`` disables the mbb spatial index
         (:attr:`index` stays ``None``), forcing every consumer — the
         query evaluator foremost — onto the full-scan path."""
-        if engine is not None and (fast or guarded):
-            raise ValueError(
-                "pass either engine= or the deprecated fast=/guarded= "
-                "flags, not both"
-            )
-        if engine is None:
-            if fast or guarded:
-                warnings.warn(
-                    "RelationStore(fast=..., guarded=...) is deprecated; "
-                    "use RelationStore(engine='fast') / "
-                    "RelationStore(engine='guarded')",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            engine = "guarded" if guarded else ("fast" if fast else "exact")
         self._configuration = configuration
         self._relations: Dict[Tuple[str, str], CardinalDirection] = {}
         self._percentages: Dict[Tuple[str, str], PercentageMatrix] = {}
@@ -110,7 +82,7 @@ class RelationStore:
         self._topology: Dict[Tuple[str, str], RCC8] = {}
         self._distances: Dict[Tuple[str, str], float] = {}
         self._distance_frame = distance_frame
-        self._engine = resolve_engine(engine)
+        self._engine = resolve_engine("exact" if engine is None else engine)
         self._use_index = bool(use_index)
         self._index: Optional[SpatialIndex] = None
         # Maintained relation matrix: `_matrix_ids` names the id set a
@@ -132,19 +104,6 @@ class RelationStore:
     def engine_stats(self) -> EngineStats:
         """The engine's telemetry: call counts, timings, ladder paths."""
         return self._engine.stats
-
-    @property
-    def guard_stats(self) -> Mapping[str, int]:
-        """Ladder path counts, e.g. ``{"fast": n, "exact": n}``.
-
-        .. deprecated::
-            ``guard_stats`` is kept as a read-only view over
-            ``engine_stats.path_counts`` for code written against the
-            pre-engine API.  New code should read
-            :attr:`engine_stats` directly.  Engines without an internal
-            ladder (exact, fast, clipping) present an empty mapping.
-        """
-        return readonly_view(self._engine.stats.path_counts)
 
     def _box(self, region_id: str) -> BoundingBox:
         box = self._boxes.get(region_id)
@@ -380,7 +339,7 @@ class RelationStore:
         """
         from repro.core.batch import batch_relations
 
-        if "engine" not in kwargs and "compute" not in kwargs:
+        if "engine" not in kwargs:
             kwargs["engine"] = self._engine.spawn()
         return batch_relations(self._configuration, **kwargs)
 

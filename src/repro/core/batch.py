@@ -27,20 +27,21 @@ Two sweep accelerations ride on top of the isolation machinery:
   answer one primary against its whole row of reference boxes in a
   single call; a row whose bulk computation raises falls back to the
   per-pair loop, so fault isolation is preserved pair by pair;
-* ``workers=N`` chunks the primary rows across a **process pool** —
-  each worker recreates the engine from
-  :meth:`~repro.core.engine.Engine.worker_spec` and sweeps its chunk;
-  outcomes concatenate in chunk order (primary-major order is
-  preserved) and per-worker :class:`~repro.core.engine.EngineStats`
-  snapshots are merged into the report's stats.  Engines that speak
-  the **plane protocol** (``supports_plane``, e.g. the sweep engine)
-  take the shared-memory fast path: the parent flattens the validated
-  configuration once into a :class:`~repro.core.plane.GeometryPlane`,
-  a *persistent* supervised pool attaches to it by name at initializer
-  time, chunks shrink to index ranges sized adaptively from observed
-  chunk latency, and workers return compact tile-mask/area blocks the
-  parent assembles into outcomes — no geometry is ever pickled.
-  Engines without the protocol keep the legacy pickled-chunk pool.
+* ``workers=N`` chunks the primary rows across one **persistent,
+  supervised process pool** for every engine: each worker recreates the
+  engine from :meth:`~repro.core.engine.Engine.worker_spec`, receives
+  the sweep's geometry once at initializer time, and sweeps index-range
+  chunks sized adaptively from observed chunk latency; outcomes keep
+  primary-major order and per-worker
+  :class:`~repro.core.engine.EngineStats` snapshots are merged into the
+  report's stats.  Engines that speak the **plane protocol**
+  (``supports_plane``, e.g. the sweep engine) read a
+  :class:`~repro.core.plane.GeometryPlane` the parent flattens once
+  into shared memory, and return compact tile-mask/area blocks the
+  parent assembles into outcomes.  Every other engine's workers get
+  the validated region maps through the pool initializer (inherited
+  under fork, never pickled per chunk) and run the same
+  :func:`_sweep_rows` the serial path runs.
 
 When the observability subsystem (:mod:`repro.obs`) has sinks
 installed, the sweep is traced end to end: a ``batch.relations`` root
@@ -55,10 +56,10 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from operator import attrgetter
 from typing import (
@@ -614,106 +615,8 @@ def _sweep_rows(
     return outcomes
 
 
-def _worker_chunk(
-    payload: dict,
-) -> Tuple[
-    List[PairOutcome],
-    dict,
-    dict,
-    Optional[list],
-    Optional[dict],
-    Optional[dict],
-    Optional[list],
-]:
-    """One worker's share of a parallel sweep (module-level: picklable).
-
-    Recreates the engine from its ``(name, options)`` spec — under the
-    default fork start method the child inherits every
-    :func:`~repro.core.engine.register_engine` registration made before
-    the pool started — sweeps its chunk of primary rows, and returns
-    the outcomes plus any *new* repair reports, a detached
-    :meth:`~repro.core.engine.EngineStats.as_dict` snapshot, and — when
-    the parent had a tracer / metrics registry / sampling profiler /
-    event log installed — the worker's serialised spans, metrics
-    snapshot, folded-stack counts and event records.  The parent grafts
-    the spans into its own trace, merges the metrics and profile, and
-    ingests the events (remapping their span links through the graft's
-    id map), so ``workers=N`` loses no telemetry to the process
-    boundary (observers excepted; see
-    :meth:`~repro.core.engine.Engine.worker_spec`).
-    """
-    chunk_index = payload.get("chunk_index", 0)
-    attempt = payload.get("attempt", 0)
-    fault_point("batch.worker", chunk=chunk_index, attempt=attempt)
-    engine_name, engine_options = payload["engine_spec"]
-    backend = create_engine(engine_name, **engine_options)
-    repairs: Dict[str, RepairReport] = dict(payload["repairs"])
-    known_repairs = set(repairs)
-    broken: Dict[str, str] = dict(payload["broken"])
-    worker_label = f"worker-{chunk_index}"
-    tracer = obs.Tracer(worker=worker_label) if payload.get("trace") else None
-    registry = obs.MetricsRegistry() if payload.get("collect_metrics") else None
-    profiler = obs.SamplingProfiler() if payload.get("profile") else None
-    events_spec = payload.get("events")
-    events_log = (
-        obs.EventLog(
-            slow_op_budgets=events_spec.get("budgets"),
-            default_slow_op_budget=events_spec.get("default"),
-            worker=worker_label,
-        )
-        if events_spec
-        else None
-    )
-    policy = payload.get("retry_policy") or DEFAULT_BATCH_RETRY_POLICY
-    with obs.tracing(tracer) if tracer is not None else nullcontext():
-        with obs.collecting(registry) if registry is not None else nullcontext():
-            with obs.emitting(events_log) if events_log is not None else nullcontext():
-                with profiler if profiler is not None else nullcontext():
-                    with obs.span(
-                        "batch.worker",
-                        chunk=chunk_index,
-                        attempt=attempt,
-                        pid=os.getpid(),
-                        primaries=len(payload["primary_ids"]),
-                    ):
-                        with obs.span(
-                            "batch.chunk",
-                            chunk=chunk_index,
-                            primaries=len(payload["primary_ids"]),
-                        ):
-                            with deadline_scope(payload.get("deadline_seconds")):
-                                outcomes = _sweep_rows(
-                                    payload["primary_ids"],
-                                    payload["all_ids"],
-                                    include_self=payload["include_self"],
-                                    healthy=payload["healthy"],
-                                    boxes=payload["boxes"],
-                                    repairs=repairs,
-                                    broken=broken,
-                                    backend=backend,
-                                    percentages=payload["percentages"],
-                                    repair=payload["repair"],
-                                    policy=policy,
-                                    attempt=attempt,
-                                )
-    new_repairs = {
-        region_id: report
-        for region_id, report in repairs.items()
-        if region_id not in known_repairs
-    }
-    return (
-        outcomes,
-        new_repairs,
-        backend.stats.as_dict(),
-        tracer.to_payload() if tracer is not None else None,
-        registry.snapshot() if registry is not None else None,
-        profiler.to_payload() if profiler is not None else None,
-        events_log.to_payload() if events_log is not None else None,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Shared-memory plane executor
+# Supervised process pool
 # ---------------------------------------------------------------------------
 
 #: Floor on the adaptive chunk size — below this the dispatch overhead
@@ -762,8 +665,8 @@ class _ChunkSizer:
         self._size = max(_MIN_CHUNK_ROWS, min(target, self._ceiling))
 
 
-class _PlaneChunk:
-    """One index-range dispatch unit of a plane sweep."""
+class _Chunk:
+    """One index-range dispatch unit of a pooled sweep."""
 
     __slots__ = ("index", "start", "stop", "attempt", "dispatched_at")
 
@@ -781,75 +684,148 @@ class _PlaneChunk:
         return self.stop - self.start
 
 
-#: Worker-process state installed by :func:`_plane_worker_init`: the
-#: attached plane, the engine spec, and the (row, column) restriction,
-#: reused by every chunk the worker serves — the point of the
-#: persistent pool is attach once, sweep many; the restriction rides in
-#: the initargs for the same reason (constant per sweep, so it is
-#: pickled once per worker instead of once per chunk).
-_WORKER_PLANE: Optional[Any] = None
-_WORKER_ENGINE_SPEC: Optional[tuple] = None
-_WORKER_RESTRICTION: Optional[tuple] = None
+#: Worker-process state installed by :func:`_pool_init` and reused by
+#: every chunk the worker serves — the point of the persistent pool is
+#: that the sweep's constant state crosses the process boundary once
+#: per worker, never once per chunk: the engine spec, then either the
+#: attached plane and its (row, column) restriction (plane engines) or
+#: the region context :func:`_region_block` sweeps (every other engine).
+_WORKER: Dict[str, Any] = {}
 
 
-def _plane_worker_init(
-    plane_name: str,
+def _pool_init(
     engine_spec: tuple,
     generation: int,
-    restriction: Optional[tuple] = None,
+    plane_name: Optional[str],
+    restriction: tuple,
+    regions: Optional[tuple],
 ) -> None:
-    """Pool initializer: attach this worker to the shared plane once.
+    """Pool initializer: install the sweep's constant state once.
+
+    A plane engine's worker attaches to the shared plane ``plane_name``
+    and sweeps the ``(row_index, column_index)`` ``restriction`` (see
+    :func:`batch_relations`'s ``primaries`` / ``references``; ``None``
+    entries mean every row / column).
+    Any other engine's worker receives ``regions`` instead — the
+    restricted primary / reference id lists, the validated ``healthy``
+    / ``boxes`` / ``repairs`` / ``broken`` maps, the ``repair`` flag
+    and the retry policy — which under fork are inherited, not pickled.
 
     ``generation`` is the supervisor's pool rebuild counter, threaded
     into the ``plane.attach`` fault-injection context so chaos tests can
     target (or spare) specific rebuilds.  An attach failure kills the
     worker during initialisation, which breaks the pool; the supervisor
     answers with a rebuild under the retry policy.
-
-    ``restriction`` is ``(row_index, column_index)`` for a
-    subset-restricted sweep (see :func:`batch_relations`'s
-    ``primaries`` / ``references``), or ``None`` for the full matrix.
     """
-    global _WORKER_PLANE, _WORKER_ENGINE_SPEC, _WORKER_RESTRICTION
-    from repro.core.plane import GeometryPlane
+    _WORKER.update(
+        engine_spec=engine_spec,
+        plane=None,
+        restriction=restriction,
+        regions=regions,
+    )
+    if plane_name is not None:
+        from repro.core.plane import GeometryPlane
 
-    _WORKER_PLANE = GeometryPlane.attach(plane_name, generation=generation)
-    _WORKER_ENGINE_SPEC = engine_spec
-    _WORKER_RESTRICTION = restriction
+        _WORKER["plane"] = GeometryPlane.attach(plane_name, generation=generation)
 
 
-def _plane_chunk(task: dict) -> tuple:
-    """One index-range chunk against the worker's attached plane.
+def _plane_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
+    """A plane engine's chunk: ``sweep_plane`` over the attached plane.
 
-    The task dict carries nothing but indices and flags — geometry
-    lives in the plane this worker attached at initializer time.  A
-    fresh engine per chunk keeps the stats snapshot scoped to exactly
-    this dispatch (re-dispatched chunks must not double-count).  Returns
-    ``(rows_done, masks, paths, areas, cpu_seconds, stats, spans,
-    metrics, profile, events)`` — compact numpy blocks the parent
-    assembles into outcomes, the chunk's CPU cost (feeding the adaptive
-    sizer), plus the same telemetry graft payloads the legacy worker
-    ships.
+    Returns the rows swept — fewer than asked when the worker's
+    deadline slice expired mid-chunk — and the compact ``(masks, paths,
+    areas)`` blocks :func:`_assemble_plane_rows` turns into outcomes in
+    the parent.
     """
-    plane = _WORKER_PLANE
-    spec = _WORKER_ENGINE_SPEC
-    restriction = _WORKER_RESTRICTION or (None, None)
-    if plane is None or spec is None:  # pragma: no cover - init contract
-        raise RuntimeError("plane chunk dispatched to an uninitialised worker")
+    row_index, column_index = _WORKER["restriction"]
+    rows_done, masks, paths, areas = getattr(backend, "sweep_plane")(
+        _WORKER["plane"],
+        task["start"],
+        task["stop"],
+        include_self=task["include_self"],
+        percentages=task["percentages"],
+        attempt=task["attempt"],
+        row_index=row_index,
+        column_index=column_index,
+    )
+    if rows_done < task["stop"] - task["start"]:
+        count_deadline_exceeded("batch.sweep")
+    return rows_done, (masks, paths, areas)
+
+
+def _region_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
+    """Any other engine's chunk: :func:`_sweep_rows` over Region maps.
+
+    The same call the inline fallback makes, on per-chunk copies of the
+    installed maps so every chunk starts from the parent's validated
+    state whichever worker serves it.  Returns the whole chunk as done
+    (pairs past the deadline come back labelled ``DEADLINE``) with its
+    outcomes and the repairs made here, for the parent to merge.
+    """
+    (
+        primary_ids,
+        reference_ids,
+        healthy,
+        boxes,
+        repairs,
+        broken,
+        repair,
+        policy,
+    ) = _WORKER["regions"]
+    chunk_repairs = dict(repairs)
+    outcomes = _sweep_rows(
+        primary_ids[task["start"] : task["stop"]],
+        reference_ids,
+        include_self=task["include_self"],
+        healthy=dict(healthy),
+        boxes=dict(boxes),
+        repairs=chunk_repairs,
+        broken=dict(broken),
+        backend=backend,
+        percentages=task["percentages"],
+        repair=repair,
+        policy=policy,
+        attempt=task["attempt"],
+    )
+    new_repairs = {
+        region_id: report
+        for region_id, report in chunk_repairs.items()
+        if region_id not in repairs
+    }
+    return task["stop"] - task["start"], (outcomes, new_repairs)
+
+
+def _pool_chunk(task: dict) -> tuple:
+    """One index-range chunk in a pool worker.
+
+    The task dict carries nothing but indices and flags — the geometry
+    was installed by :func:`_pool_init`.  A fresh engine per chunk,
+    recreated from its ``(name, options)`` spec (under fork the worker
+    inherits every :func:`~repro.core.engine.register_engine` made
+    before the pool started), keeps the stats snapshot scoped to this
+    dispatch (re-dispatched chunks must not double-count).  Returns
+    ``(rows_done, block, cpu_seconds, stats, spans, metrics, profile,
+    events)``: the :func:`_plane_block` / :func:`_region_block` result,
+    the chunk's CPU cost (feeding the adaptive sizer), a detached
+    :meth:`~repro.core.engine.EngineStats.as_dict` snapshot and — when
+    the parent had a tracer / metrics registry / sampling profiler /
+    event log installed — the worker's serialised spans, metrics
+    snapshot, folded-stack counts and event records.  The parent grafts
+    the spans into its own trace, merges the metrics and profile, and
+    ingests the events, so ``workers=N`` loses no telemetry to the
+    process boundary (observers excepted; see
+    :meth:`~repro.core.engine.Engine.worker_spec`).
+    """
     chunk_index = task["chunk_index"]
     attempt = task["attempt"]
     fault_point("batch.worker", chunk=chunk_index, attempt=attempt)
-    engine_name, engine_options = spec
+    engine_name, engine_options = _WORKER["engine_spec"]
     backend = create_engine(engine_name, **engine_options)
-    sweep_plane = getattr(backend, "sweep_plane")
+    sweep = _region_block if _WORKER["plane"] is None else _plane_block
     rows = task["stop"] - task["start"]
-    tracer = (
-        obs.Tracer(worker=f"worker-{chunk_index}")
-        if task.get("trace")
-        else None
-    )
-    registry = obs.MetricsRegistry() if task.get("collect_metrics") else None
     worker_label = f"worker-{chunk_index}"
+    tracer = obs.Tracer(worker=worker_label) if task.get("trace") else None
+    registry = obs.MetricsRegistry() if task.get("collect_metrics") else None
     profiler = obs.SamplingProfiler() if task.get("profile") else None
     events_spec = task.get("events")
     events_log = (
@@ -878,18 +854,7 @@ def _plane_chunk(task: dict) -> tuple:
                             "batch.chunk", chunk=chunk_index, primaries=rows
                         ):
                             with deadline_scope(task.get("deadline_seconds")):
-                                rows_done, masks, paths, areas = sweep_plane(
-                                    plane,
-                                    task["start"],
-                                    task["stop"],
-                                    include_self=task["include_self"],
-                                    percentages=task["percentages"],
-                                    attempt=attempt,
-                                    row_index=restriction[0],
-                                    column_index=restriction[1],
-                                )
-                                if rows_done < rows:
-                                    count_deadline_exceeded("batch.sweep")
+                                rows_done, block = sweep(backend, task)
     elapsed = time.perf_counter() - started
     # CPU seconds, not wall: under N-way contention the wall latency of
     # a chunk inflates with the worker count, and sizing chunks from it
@@ -899,9 +864,7 @@ def _plane_chunk(task: dict) -> tuple:
     cpu_seconds = time.process_time() - cpu_started
     return (
         rows_done,
-        masks,
-        paths,
-        areas,
+        block,
         cpu_seconds if cpu_seconds > 0.0 else elapsed,
         backend.stats.as_dict(),
         tracer.to_payload() if tracer is not None else None,
@@ -1052,7 +1015,7 @@ def _assemble_plane_rows(
     return outcomes
 
 
-def _plane_parallel_sweep(
+def _pool_sweep(
     all_ids: List[str],
     *,
     primaries: Optional[Sequence[str]] = None,
@@ -1069,22 +1032,20 @@ def _plane_parallel_sweep(
     policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
     chunk_timeout: Optional[float] = None,
 ) -> Tuple[List[PairOutcome], Dict[str, int]]:
-    """Fan the sweep out over a persistent pool sharing one plane.
+    """Fan the sweep out over the persistent supervised pool.
 
-    Builds the :class:`~repro.core.plane.GeometryPlane` once, supervises
-    the pool in :func:`_supervise_plane_pool`, and **unconditionally**
+    For a plane engine (``supports_plane``) this builds the
+    :class:`~repro.core.plane.GeometryPlane` once and **unconditionally**
     destroys the segment on the way out — success, crashed or hung pool,
     deadline expiry and ``KeyboardInterrupt`` alike — so no ``/dev/shm``
-    segment can outlive the sweep.
+    segment can outlive the sweep.  Every other engine runs under the
+    same supervisor without a plane.
 
     ``primaries`` / ``references`` restrict the swept pairs: the plane
     still flattens every region (positions are global, and a reference
     needs geometry whether or not it is a primary), but chunks carve
-    the restricted *row list* and workers skip non-candidate columns
-    inside the kernel.
+    the restricted *row list* and workers skip non-candidate columns.
     """
-    from repro.core.plane import GeometryPlane
-
     # Index mapping happens *before* the plane exists: a stale id in
     # ``primaries``/``references`` raises KeyError here, where there is
     # no segment to leak yet (RA007 — nothing fallible may sit between
@@ -1100,6 +1061,27 @@ def _plane_parallel_sweep(
         if references is None
         else tuple(position_of[region_id] for region_id in references)
     )
+    supervise = partial(
+        _supervise_pool,
+        all_ids=all_ids,
+        row_index=row_index,
+        column_index=column_index,
+        workers=workers,
+        include_self=include_self,
+        healthy=healthy,
+        boxes=boxes,
+        repairs=repairs,
+        broken=broken,
+        backend=backend,
+        percentages=percentages,
+        repair=repair,
+        policy=policy,
+        chunk_timeout=chunk_timeout,
+    )
+    if not backend.supports_plane:
+        return supervise(None)
+    from repro.core.plane import GeometryPlane
+
     plane = GeometryPlane.build(
         all_ids,
         healthy=healthy,
@@ -1108,31 +1090,15 @@ def _plane_parallel_sweep(
         repaired=tuple(repairs),
     )
     try:
-        return _supervise_plane_pool(
-            plane,
-            all_ids,
-            row_index=row_index,
-            column_index=column_index,
-            workers=workers,
-            include_self=include_self,
-            healthy=healthy,
-            boxes=boxes,
-            repairs=repairs,
-            broken=broken,
-            backend=backend,
-            percentages=percentages,
-            repair=repair,
-            policy=policy,
-            chunk_timeout=chunk_timeout,
-        )
+        return supervise(plane)
     finally:
         plane.destroy()
 
 
-def _supervise_plane_pool(
-    plane: Any,
-    all_ids: List[str],
+def _supervise_pool(
+    plane: Optional[Any],
     *,
+    all_ids: List[str],
     row_index: Optional[Tuple[int, ...]] = None,
     column_index: Optional[Tuple[int, ...]] = None,
     workers: int,
@@ -1147,21 +1113,22 @@ def _supervise_plane_pool(
     policy: RetryPolicy,
     chunk_timeout: Optional[float],
 ) -> Tuple[List[PairOutcome], Dict[str, int]]:
-    """The persistent supervised pool over an already-built plane.
+    """The one pool supervisor behind every ``workers=N`` sweep.
 
     One :class:`~concurrent.futures.ProcessPoolExecutor` lives across
-    the whole sweep (workers attach to the plane in their initializer);
-    the supervisor keeps up to ``workers`` index-range chunks in flight,
-    carving chunk sizes adaptively from observed chunk latency.  Loss
-    handling keeps PR 6's guarantees with finer grain than the legacy
-    round-based pool:
+    the whole sweep, its workers initialised once by :func:`_pool_init`
+    — attached to ``plane`` for a plane engine, handed the validated
+    region maps when ``plane`` is ``None``.  The supervisor keeps up to
+    ``workers`` index-range chunks in flight, carving chunk sizes
+    adaptively from observed chunk latency.  Loss handling:
 
     * a future that *raises* (an injected fault, a worker bug) loses
       only its own chunk — the pool survives;
     * a ``BrokenProcessPool`` (worker killed) loses every in-flight
       chunk and the pool is rebuilt with a bumped ``generation``;
-    * a ``chunk_timeout`` expiry means a hung worker, which can only be
-      abandoned: every in-flight chunk is lost and the pool is rebuilt.
+    * a ``chunk_timeout`` expiry means a hung worker, which never
+      returns on its own: every in-flight chunk is lost, the pool's
+      workers are killed and the pool is rebuilt.
 
     Lost chunks re-enter the dispatch queue with an incremented attempt
     (``policy.max_attempts`` bounding, backoff between attempts); chunks
@@ -1184,12 +1151,8 @@ def _supervise_plane_pool(
     engine_spec = backend.worker_spec()
     deadline = current_deadline()
     total_rows = len(all_ids) if row_index is None else len(row_index)
-    restriction = (
-        None if row_index is None and column_index is None
-        else (row_index, column_index)
-    )
-    # Inline-fallback views: chunk [start, stop) addresses positions in
-    # the restricted row list, and references keep the caller's order.
+    # Chunk [start, stop) addresses positions in the restricted row
+    # list, and references keep the caller's order.
     primary_row_ids = (
         all_ids
         if row_index is None
@@ -1200,18 +1163,33 @@ def _supervise_plane_pool(
         if column_index is None
         else [all_ids[position] for position in column_index]
     )
+    plane_name = None if plane is None else plane.name
+    regions = (
+        None
+        if plane is not None
+        else (
+            primary_row_ids,
+            reference_ids,
+            healthy,
+            boxes,
+            repairs,
+            broken,
+            repair,
+            policy,
+        )
+    )
     sizer = _ChunkSizer(total_rows, workers)
     stats = {"worker_failures": 0, "chunk_retries": 0, "inline_chunks": 0}
     completed: List[Tuple[int, List[PairOutcome]]] = []
-    retry_queue: List[_PlaneChunk] = []
-    exhausted: List[_PlaneChunk] = []
-    in_flight: Dict[Any, _PlaneChunk] = {}
+    retry_queue: List[_Chunk] = []
+    exhausted: List[_Chunk] = []
+    in_flight: Dict[Any, _Chunk] = {}
     next_start = 0
     next_index = 0
     generation = 0
     pool: Optional[Any] = None
 
-    def _task(chunk: _PlaneChunk) -> dict:
+    def _task(chunk: _Chunk) -> dict:
         return {
             "chunk_index": chunk.index,
             "attempt": chunk.attempt,
@@ -1239,7 +1217,7 @@ def _supervise_plane_pool(
             ).inc(count, reason=reason)
         obs.emit("batch.worker_lost", "warning", count=count, reason=reason)
 
-    def _requeue(chunk: _PlaneChunk) -> None:
+    def _requeue(chunk: _Chunk) -> None:
         if chunk.attempt + 1 < policy.max_attempts:
             chunk.attempt += 1
             stats["chunk_retries"] += 1
@@ -1248,17 +1226,15 @@ def _supervise_plane_pool(
         else:
             exhausted.append(chunk)
 
-    def _lose(chunk: _PlaneChunk, reason: str) -> None:
+    def _lose(chunk: _Chunk, reason: str) -> None:
         _count_lost(1, reason)
         _requeue(chunk)
 
-    def _absorb(chunk: _PlaneChunk, result: tuple) -> None:
+    def _absorb(chunk: _Chunk, result: tuple) -> None:
         nonlocal next_index
         (
             rows_done,
-            masks,
-            paths,
-            areas,
+            block,
             cpu_seconds,
             stats_snapshot,
             span_payload,
@@ -1284,39 +1260,45 @@ def _supervise_plane_pool(
             )
         if rows_done > 0:
             sizer.observe(rows_done, cpu_seconds)
-            completed.append(
-                (
-                    chunk.start,
-                    _assemble_plane_rows(
-                        masks,
-                        paths,
-                        areas,
-                        start=chunk.start,
-                        rows_done=rows_done,
-                        all_ids=all_ids,
-                        include_self=include_self,
-                        repairs=repairs,
-                        broken=broken,
-                        percentages=percentages,
-                        row_lookup=row_index,
-                        column_positions=column_index,
-                    ),
+            if plane is None:
+                chunk_outcomes, new_repairs = block
+                repairs.update(new_repairs)
+            else:
+                chunk_outcomes = _assemble_plane_rows(
+                    *block,
+                    start=chunk.start,
+                    rows_done=rows_done,
+                    all_ids=all_ids,
+                    include_self=include_self,
+                    repairs=repairs,
+                    broken=broken,
+                    percentages=percentages,
+                    row_lookup=row_index,
+                    column_positions=column_index,
                 )
-            )
+            completed.append((chunk.start, chunk_outcomes))
         if rows_done < chunk.rows:
             # The worker's deadline slice expired mid-chunk; requeue the
             # unswept remainder — under a live parent deadline it is
             # re-dispatched, under an expired one the inline fallback
             # below labels it DEADLINE.
             retry_queue.append(
-                _PlaneChunk(next_index, chunk.start + rows_done, chunk.stop)
+                _Chunk(next_index, chunk.start + rows_done, chunk.stop)
             )
             next_index += 1
 
     def _shutdown_pool(*, abandon: bool) -> None:
         nonlocal pool
         if pool is not None:
-            pool.shutdown(wait=not abandon, cancel_futures=True)
+            if abandon:
+                # shutdown(wait=False) never stops a hung worker: it and
+                # the executor's manager thread would outlive the sweep,
+                # and keep the interpreter from exiting.  Kill the
+                # workers so the join below returns promptly (Python
+                # 3.9-3.12 have no public call for this).
+                for process in list((pool._processes or {}).values()):
+                    process.kill()
+            pool.shutdown(wait=True, cancel_futures=True)
             pool = None
 
     try:
@@ -1340,25 +1322,24 @@ def _supervise_plane_pool(
                             time.sleep(pause)
                 else:
                     size = sizer.next_size(total_rows - next_start)
-                    chunk = _PlaneChunk(
-                        next_index, next_start, next_start + size
-                    )
+                    chunk = _Chunk(next_index, next_start, next_start + size)
                     next_index += 1
                     next_start += size
                 if pool is None:
                     pool = ProcessPoolExecutor(
                         max_workers=workers,
-                        initializer=_plane_worker_init,
+                        initializer=_pool_init,
                         initargs=(
-                            plane.name,
                             engine_spec,
                             generation,
-                            restriction,
+                            plane_name,
+                            (row_index, column_index),
+                            regions,
                         ),
                     )
                 chunk.dispatched_at = time.monotonic()
                 try:
-                    future = pool.submit(_plane_chunk, _task(chunk))
+                    future = pool.submit(_pool_chunk, _task(chunk))
                 except BrokenProcessPool:
                     _lose(chunk, "broken_pool")
                     generation += 1
@@ -1390,7 +1371,7 @@ def _supervise_plane_pool(
                     # labelled by the inline fallback below.
                     break
                 # chunk_timeout elapsed: at least one worker is hung.  A
-                # hung worker cannot be cancelled, only abandoned — and
+                # hung worker cannot be cancelled, only killed — and
                 # every in-flight dispatch shares its abandoned pool.
                 for flying_chunk in list(in_flight.values()):
                     _lose(flying_chunk, "timeout")
@@ -1413,7 +1394,7 @@ def _supervise_plane_pool(
                     # gone, so the chunk goes straight to the exhausted
                     # pile and the inline fallback labels its pairs
                     # DEADLINE.
-                    count_deadline_exceeded("batch.plane")
+                    count_deadline_exceeded("batch.pool")
                     exhausted.append(finished)
                 except Exception as error:
                     # The worker raised (e.g. an injected fault): the
@@ -1450,7 +1431,7 @@ def _supervise_plane_pool(
     # plus the rows never carved at all.
     leftovers = exhausted + retry_queue + list(in_flight.values())
     if next_start < total_rows:
-        leftovers.append(_PlaneChunk(next_index, next_start, total_rows))
+        leftovers.append(_Chunk(next_index, next_start, total_rows))
         next_index += 1
     if leftovers:
         leftovers.sort(key=lambda record: record.start)
@@ -1494,7 +1475,6 @@ def batch_relations(
     include_self: bool = False,
     percentages: bool = False,
     engine: Optional[EngineLike] = None,
-    compute: Optional[str] = None,
     repair: bool = True,
     validate: bool = True,
     epsilon: float = DEFAULT_EPSILON,
@@ -1523,8 +1503,7 @@ def batch_relations(
     :func:`~repro.core.engine.register_engine` registration — or as an
     :class:`~repro.core.engine.Engine` instance.  The engine's
     :class:`~repro.core.engine.EngineStats` for the sweep are threaded
-    into the returned report.  ``compute`` is the deprecated pre-engine
-    spelling of the same selector.
+    into the returned report.
 
     With ``repair`` (default) invalid regions are repaired before use
     and failing pairs are retried on repaired geometry; with
@@ -1533,16 +1512,16 @@ def batch_relations(
     which raise nothing) are caught, not just crashes.
 
     ``workers=N`` (N > 1) chunks the primary rows across a process
-    pool: each worker recreates the engine from
-    :meth:`~repro.core.engine.Engine.worker_spec` and sweeps its chunk;
+    pool, whatever the engine: each worker recreates the engine from
+    :meth:`~repro.core.engine.Engine.worker_spec` and sweeps its chunks;
     outcomes keep primary-major order and per-worker stats are merged
     into ``report.engine_stats``.  Validation and up-front repair still
     run once, in the parent, before the fan-out.  The fan-out is
     *supervised*: chunks lost to crashed, hung (``chunk_timeout``
-    seconds) or broken workers are re-dispatched under the retry
-    policy, then run inline in the parent as the last resort — a dead
-    worker costs latency and a ``report.worker_failures`` entry, never
-    pairs.
+    seconds; the hung pool's workers are killed) or broken workers are
+    re-dispatched under the retry policy, then run inline in the parent
+    as the last resort — a dead worker costs latency and a
+    ``report.worker_failures`` entry, never pairs.
 
     ``deadline`` (seconds, or a :class:`~repro.resilience.Deadline`)
     bounds the sweep's wall-clock: pairs not reached in time come back
@@ -1553,17 +1532,6 @@ def batch_relations(
     and chunk re-dispatch alike); the default preserves the historical
     single-retry behaviour.
     """
-    if compute is not None:
-        if engine is not None:
-            raise ValueError(
-                "pass either engine= or the deprecated compute=, not both"
-            )
-        warnings.warn(
-            "batch_relations(compute=...) is deprecated; use engine=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        engine = compute
     if workers is not None:
         if isinstance(workers, bool) or not isinstance(workers, int):
             raise ValueError(
@@ -1635,12 +1603,7 @@ def batch_relations(
             percentages=percentages,
         ) as batch_span:
             if workers is not None and workers > 1 and len(primary_ids) > 1:
-                parallel = (
-                    _plane_parallel_sweep
-                    if getattr(backend, "supports_plane", False)
-                    else _parallel_sweep
-                )
-                outcomes, supervision = parallel(
+                outcomes, supervision = _pool_sweep(
                     all_ids,
                     primaries=primaries,
                     references=references,
@@ -1702,250 +1665,6 @@ def batch_relations(
         inline_chunks=supervision["inline_chunks"],
         deadline_hit=deadline_hit,
     )
-
-
-def _parallel_sweep(
-    all_ids: List[str],
-    *,
-    primaries: Optional[Sequence[str]] = None,
-    references: Optional[Sequence[str]] = None,
-    workers: int,
-    include_self: bool,
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    backend: Engine,
-    percentages: bool,
-    repair: bool,
-    policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
-    chunk_timeout: Optional[float] = None,
-) -> Tuple[List[PairOutcome], Dict[str, int]]:
-    """Fan the primary rows out over a *supervised* process pool.
-
-    Primaries are split into ``workers`` contiguous chunks.  Each retry
-    round submits every still-pending chunk to a fresh pool (a crashed
-    worker breaks its whole :class:`~concurrent.futures.
-    ProcessPoolExecutor`, so surviving a crash means surviving the
-    pool) and collects results in **completion order** — a slow chunk 0
-    no longer blocks merging the telemetry of finished chunks.  Chunks
-    whose future raises (``BrokenProcessPool``, a worker killed
-    mid-task) or that outlive ``chunk_timeout`` / the current deadline
-    are re-dispatched next round with an incremented ``attempt``, up to
-    ``policy.max_attempts`` rounds, with the policy's backoff between
-    rounds; whatever is still unanswered then runs inline, serially, in
-    the parent — the last resort that cannot crash away.  The final
-    outcome list is reassembled by chunk index, so primary-major order
-    is preserved exactly no matter which round answered which chunk.
-
-    When a tracer / metrics registry is installed, each worker collects
-    its own spans and metric series and ships them back serialised;
-    they are grafted under the caller's current span (one
-    ``batch.worker`` → ``batch.chunk`` subtree per chunk) and merged
-    into the installed registry, so one coherent trace covers the whole
-    fan-out.  Lost dispatches are counted in
-    ``repro_worker_restart_total`` and the returned supervision stats
-    (``worker_failures`` / ``chunk_retries`` / ``inline_chunks``).
-    """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    tracer = obs.current_tracer()
-    registry = obs.current_metrics()
-    profiler = obs.current_profiler()
-    events_log = obs.current_events()
-    engine_spec = backend.worker_spec()
-    deadline = current_deadline()
-    primary_ids = list(primaries) if primaries is not None else all_ids
-    reference_ids = list(references) if references is not None else all_ids
-    chunk_size = -(-len(primary_ids) // workers)  # ceil division
-    chunks = [
-        primary_ids[start : start + chunk_size]
-        for start in range(0, len(primary_ids), chunk_size)
-    ]
-
-    def _payload(index: int, attempt: int) -> dict:
-        return {
-            "engine_spec": engine_spec,
-            "primary_ids": chunks[index],
-            "all_ids": reference_ids,
-            "include_self": include_self,
-            "healthy": healthy,
-            "boxes": boxes,
-            "repairs": repairs,
-            "broken": broken,
-            "percentages": percentages,
-            "repair": repair,
-            "chunk_index": index,
-            "attempt": attempt,
-            "retry_policy": policy,
-            "deadline_seconds": (
-                deadline.remaining() if deadline is not None else None
-            ),
-            "trace": tracer is not None,
-            "collect_metrics": registry is not None,
-            "profile": profiler is not None,
-            "events": (
-                events_log.budget_spec() if events_log is not None else None
-            ),
-        }
-
-    results: Dict[int, List[PairOutcome]] = {}
-    stats = {"worker_failures": 0, "chunk_retries": 0, "inline_chunks": 0}
-
-    def _absorb(index: int, result: tuple) -> None:
-        (
-            chunk_outcomes,
-            new_repairs,
-            stats_snapshot,
-            span_payload,
-            metrics_snapshot,
-            profile_payload,
-            events_payload,
-        ) = result
-        results[index] = chunk_outcomes
-        repairs.update(new_repairs)
-        backend.stats.merge(stats_snapshot)
-        span_id_map: Dict[str, str] = {}
-        if span_payload and tracer is not None:
-            tracer.ingest(
-                span_payload, worker=f"worker-{index}", id_map=span_id_map
-            )
-        if metrics_snapshot and registry is not None:
-            registry.merge(metrics_snapshot)
-        if profile_payload and profiler is not None:
-            profiler.merge(profile_payload)
-        if events_payload and events_log is not None:
-            events_log.ingest(
-                events_payload,
-                worker=f"worker-{index}",
-                span_map=span_id_map or None,
-            )
-
-    def _count_lost(count: int, reason: str) -> None:
-        stats["worker_failures"] += count
-        if registry is not None:
-            registry.counter(
-                "repro_worker_restart_total",
-                "Parallel batch chunk dispatches lost to worker failures.",
-            ).inc(count, reason=reason)
-        obs.emit("batch.worker_lost", "warning", count=count, reason=reason)
-
-    pending = list(range(len(chunks)))
-    for round_number in range(policy.max_attempts):
-        if not pending:
-            break
-        if deadline is not None and deadline.expired():
-            break
-        if round_number:
-            stats["chunk_retries"] += len(pending)
-            for index in pending:
-                count_retry("batch.chunk")
-            pause = policy.delay(round_number - 1, key="batch.chunk")
-            if deadline is not None:
-                pause = min(pause, deadline.remaining())
-            if pause > 0.0:
-                time.sleep(pause)
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
-        lost: List[int] = []
-        waiting: set = set()
-        try:
-            futures = {
-                pool.submit(_worker_chunk, _payload(index, round_number)): index
-                for index in pending
-            }
-            waiting = set(futures)
-            dispatched_at = time.monotonic()
-            while waiting:
-                budget: Optional[float] = None
-                if chunk_timeout is not None:
-                    budget = max(
-                        0.0,
-                        chunk_timeout - (time.monotonic() - dispatched_at),
-                    )
-                if deadline is not None:
-                    grace = deadline.remaining() + _DEADLINE_GRACE
-                    budget = grace if budget is None else min(budget, grace)
-                done, waiting = wait(
-                    waiting, timeout=budget, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # Timed out: every still-running chunk is lost this
-                    # round (a hung worker cannot be cancelled, only
-                    # abandoned — the fresh pool next round leaves it
-                    # behind).
-                    lost.extend(futures[future] for future in waiting)
-                    _count_lost(len(waiting), "timeout")
-                    break
-                for future in done:
-                    index = futures[future]
-                    try:
-                        _absorb(index, future.result())
-                    except BrokenProcessPool:
-                        lost.append(index)
-                        _count_lost(1, "broken_pool")
-                    except DeadlineExceeded:
-                        # Deadline expiry is not a worker failure: the
-                        # inline fallback labels the chunk's pairs
-                        # DEADLINE instead of burning a retry.
-                        count_deadline_exceeded("batch.sweep")
-                        lost.append(index)
-                    except Exception as error:
-                        # A worker died mid-chunk or returned garbage;
-                        # either way the chunk is re-dispatched, so a
-                        # failure here costs latency, not pairs.
-                        lost.append(index)
-                        stats["worker_failures"] += 1
-                        if registry is not None:
-                            registry.counter(
-                                "repro_worker_restart_total",
-                                "Parallel batch chunk dispatches lost "
-                                "to worker failures.",
-                            ).inc(reason=type(error).__name__)
-                        obs.emit(
-                            "batch.worker_lost",
-                            "warning",
-                            count=1,
-                            reason=type(error).__name__,
-                        )
-        finally:
-            # Join the pool's internals unless a chunk is genuinely hung
-            # (then the management thread is stuck behind the hung task
-            # and can only be abandoned).  Joining where possible closes
-            # the executor's wakeup pipe cleanly, so interpreter-exit
-            # housekeeping never races a half-closed descriptor.
-            pool.shutdown(wait=not waiting, cancel_futures=True)
-        pending = sorted(lost)
-    if pending:
-        # Last resort: run the unanswered chunks serially in the parent.
-        # Under an expired deadline _sweep_rows labels every pair
-        # DEADLINE, so the matrix is complete either way.
-        stats["inline_chunks"] = len(pending)
-        for index in pending:
-            with obs.span(
-                "batch.chunk",
-                chunk=index,
-                primaries=len(chunks[index]),
-                inline=True,
-            ):
-                results[index] = _sweep_rows(
-                    chunks[index],
-                    reference_ids,
-                    include_self=include_self,
-                    healthy=healthy,
-                    boxes=boxes,
-                    repairs=repairs,
-                    broken=broken,
-                    backend=backend,
-                    percentages=percentages,
-                    repair=repair,
-                    policy=policy,
-                    attempt=policy.max_attempts,
-                )
-    outcomes: List[PairOutcome] = []
-    for index in range(len(chunks)):
-        outcomes.extend(results[index])
-    return outcomes, stats
 
 
 def _retry_after_repair(

@@ -44,7 +44,6 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.compute import compute_cdr_against_box
@@ -266,10 +265,10 @@ class Engine:
 
     #: Whether the engine implements the index-addressed
     #: ``sweep_plane(plane, start, stop, ...)`` protocol over a
-    #: shared-memory :class:`~repro.core.plane.GeometryPlane`.  The
-    #: parallel batch executor uses it to skip pickling geometry into
-    #: worker chunks; engines without it take the legacy pickled-chunk
-    #: path under ``workers=N``.
+    #: shared-memory :class:`~repro.core.plane.GeometryPlane`.  Under
+    #: ``workers=N`` the batch pool then attaches its workers to one
+    #: plane; engines without it get the validated region maps through
+    #: the pool initializer instead.  One supervisor runs both.
     supports_plane: bool = False
 
     def __init__(
@@ -550,8 +549,7 @@ class GuardedEngine(Engine):
             if drift_tolerance is None
             else drift_tolerance
         )
-        # Pre-seed both rungs so telemetry readers (and the relation
-        # store's legacy ``guard_stats`` view) always see both keys.
+        # Pre-seed both rungs so telemetry readers always see both keys.
         self.stats.path_counts = {"fast": 0, "exact": 0}
 
     def clone_options(self) -> Dict[str, object]:
@@ -680,11 +678,6 @@ def resolve_engine(engine: EngineLike, **options: object) -> Engine:
         "engine must be an Engine instance or a registered engine name, "
         f"got {type(engine).__name__}"
     )
-
-
-def readonly_view(counts: Dict[str, int]) -> Mapping[str, int]:
-    """A live, read-only mapping view over a mutable counter dict."""
-    return MappingProxyType(counts)
 
 
 def _sweep_factory(**options) -> Engine:

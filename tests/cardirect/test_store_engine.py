@@ -1,4 +1,4 @@
-"""Tests for the store's engine selection, telemetry and legacy shims."""
+"""Tests for the store's engine selection and telemetry."""
 
 import random
 
@@ -66,40 +66,6 @@ class TestTelemetry:
         store.percentages("r0", "r1")
         assert store.engine_stats.total_calls == 2
         assert store.engine_stats.cache_assists == 2
-
-    def test_guard_stats_is_readonly_view_of_engine_paths(self):
-        store = RelationStore(build_configuration(), engine="guarded")
-        assert dict(store.guard_stats) == {"fast": 0, "exact": 0}
-        list(store.all_relations())
-        assert sum(store.guard_stats.values()) == 20
-        assert (
-            dict(store.guard_stats) == store.engine_stats.path_counts
-        )
-        with pytest.raises(TypeError):
-            store.guard_stats["fast"] = 0
-
-    def test_guard_stats_empty_for_ladderless_engines(self):
-        store = RelationStore(build_configuration(), engine="fast")
-        store.relation("r0", "r1")
-        assert dict(store.guard_stats) == {}
-
-
-class TestDeprecatedAliases:
-    def test_fast_flag_maps_to_fast_engine(self):
-        with pytest.warns(DeprecationWarning, match="engine='fast'"):
-            store = RelationStore(build_configuration(), fast=True)
-        assert store.engine.name == "fast"
-
-    def test_guarded_flag_maps_to_guarded_engine_and_wins(self):
-        with pytest.warns(DeprecationWarning):
-            store = RelationStore(
-                build_configuration(), fast=True, guarded=True
-            )
-        assert store.engine.name == "guarded"
-
-    def test_mixing_engine_and_flags_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            RelationStore(build_configuration(), engine="fast", guarded=True)
 
 
 class TestFastPathUsesCachedBoxes:

@@ -127,24 +127,6 @@ class TestAcceptanceScenario:
         with pytest.raises(ValueError, match="compute engine"):
             batch_relations(degenerate_configuration(), engine="quantum")
 
-    def test_deprecated_compute_alias_still_dispatches(self):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            report = batch_relations(
-                degenerate_configuration(), compute="guarded"
-            )
-        assert report.engine == "guarded"
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="compute"):
-                batch_relations(
-                    degenerate_configuration(), compute="quantum"
-                )
-
-    def test_engine_and_compute_together_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            batch_relations(
-                degenerate_configuration(), engine="fast", compute="fast"
-            )
-
 
 class TestRuntimeRetry:
     def test_runtime_failure_retries_after_repair(self, monkeypatch):
@@ -255,4 +237,4 @@ class TestStoreIntegration:
             engine="guarded",
         )
         list(store.all_relations())
-        assert sum(store.guard_stats.values()) == 2
+        assert sum(store.engine_stats.path_counts.values()) == 2

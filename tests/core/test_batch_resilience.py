@@ -53,9 +53,9 @@ def grid_configuration(count: int) -> Configuration:
     return Configuration.from_regions(regions)
 
 
-def serial_oracle(configuration: Configuration):
+def serial_oracle(configuration: Configuration, engine: str = "sweep"):
     """The per-pair outcomes of an undisturbed serial sweep."""
-    report = batch_relations(configuration, engine="sweep")
+    report = batch_relations(configuration, engine=engine)
     return [
         (o.primary_id, o.reference_id, o.status, o.relation)
         for o in report.outcomes
@@ -70,9 +70,15 @@ def outcome_tuples(report):
 
 
 class TestWorkerCrashRecovery:
+    """Crash, raise, hang and exhaustion on the sweep engine's plane
+    pool; the subclasses below replay every scenario on engines without
+    a plane, whose workers take the region maps from the initializer."""
+
+    engine = "sweep"
+
     def test_killed_worker_recovers_to_serial_outcomes(self):
         configuration = grid_configuration(8)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, self.engine)
         with injecting(
             FaultSpec(
                 site="batch.worker",
@@ -83,7 +89,7 @@ class TestWorkerCrashRecovery:
         ):
             report = batch_relations(
                 configuration,
-                engine="sweep",
+                engine=self.engine,
                 workers=4,
                 retry_policy=TWO_ATTEMPTS,
             )
@@ -98,7 +104,7 @@ class TestWorkerCrashRecovery:
 
     def test_raising_chunk_recovers_to_serial_outcomes(self):
         configuration = grid_configuration(6)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, self.engine)
         with injecting(
             FaultSpec(
                 site="batch.worker",
@@ -109,7 +115,7 @@ class TestWorkerCrashRecovery:
         ):
             report = batch_relations(
                 configuration,
-                engine="sweep",
+                engine=self.engine,
                 workers=2,
                 retry_policy=TWO_ATTEMPTS,
             )
@@ -118,7 +124,7 @@ class TestWorkerCrashRecovery:
 
     def test_hung_chunk_is_abandoned_and_redispatched(self):
         configuration = grid_configuration(4)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, self.engine)
         with injecting(
             FaultSpec(
                 site="batch.worker",
@@ -130,7 +136,7 @@ class TestWorkerCrashRecovery:
         ):
             report = batch_relations(
                 configuration,
-                engine="sweep",
+                engine=self.engine,
                 workers=2,
                 retry_policy=TWO_ATTEMPTS,
                 chunk_timeout=0.5,
@@ -143,7 +149,7 @@ class TestWorkerCrashRecovery:
 
     def test_persistent_crash_falls_back_inline(self):
         configuration = grid_configuration(4)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, self.engine)
         with injecting(
             # No attempt filter: every pooled try of chunk 0 dies, so
             # recovery must come from the in-parent serial fallback
@@ -153,7 +159,7 @@ class TestWorkerCrashRecovery:
         ):
             report = batch_relations(
                 configuration,
-                engine="sweep",
+                engine=self.engine,
                 workers=2,
                 retry_policy=TWO_ATTEMPTS,
             )
@@ -162,7 +168,7 @@ class TestWorkerCrashRecovery:
 
     def test_env_var_faults_reach_pool_workers(self, monkeypatch):
         configuration = grid_configuration(6)
-        expected = serial_oracle(configuration)
+        expected = serial_oracle(configuration, self.engine)
         monkeypatch.setenv(
             ENV_FAULTS,
             json.dumps(
@@ -178,12 +184,20 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv(ENV_SEED, str(CHAOS_SEED))
         report = batch_relations(
             configuration,
-            engine="sweep",
+            engine=self.engine,
             workers=2,
             retry_policy=TWO_ATTEMPTS,
         )
         assert outcome_tuples(report) == expected
         assert report.worker_failures >= 1
+
+
+class TestWorkerCrashRecoveryExact(TestWorkerCrashRecovery):
+    engine = "exact"
+
+
+class TestWorkerCrashRecoveryGuarded(TestWorkerCrashRecovery):
+    engine = "guarded"
 
 
 class TestDeadlines:

@@ -5,7 +5,7 @@ the batch executor without paying for the full n x n sweep, so its
 contract is subset equality: a restricted sweep must produce exactly
 the ``primaries x references`` slice of the full sweep — same
 relations, same per-pair outcomes — on every execution path (serial,
-plane-pool workers, legacy pool workers).
+pool workers on the plane, pool workers on region maps).
 """
 
 import random
@@ -96,8 +96,8 @@ class TestRestrictedSweep:
 
     @pytest.mark.parametrize("engine", ["sweep", "exact"])
     def test_workers_subset(self, configuration, full_relations, engine):
-        """Both parallel paths (plane pool for sweep, legacy pool
-        otherwise) honour the restriction."""
+        """Pool workers honour the restriction whether they read the
+        plane (sweep) or the region maps (every other engine)."""
         report = batch_relations(
             configuration,
             engine=engine,

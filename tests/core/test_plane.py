@@ -5,13 +5,14 @@ Three obligations, in order of blast radius:
 * the flattened segment must round-trip a configuration exactly —
   edge endpoints, boxes, health flags and metadata all byte-equal
   between :meth:`GeometryPlane.build` and :meth:`GeometryPlane.attach`;
-* the owning parent must never leak a ``/dev/shm`` segment, whatever
-  kills the sweep — crashed workers, expired deadlines, a Ctrl-C in the
-  supervisor loop, or a chaos fault at the ``plane.attach`` site;
-* ``workers=N`` over the plane must be *indistinguishable* from the
-  serial sweep: identical outcome objects (relations, percentages,
-  paths, errors) and identical repair reports, with or without fault
-  injection.
+* the owning parent must never leak a ``/dev/shm`` segment, a worker
+  process or an executor thread, whatever kills the sweep — crashed or
+  hung workers, expired deadlines, a Ctrl-C in the supervisor loop, or
+  a chaos fault at the ``plane.attach`` site;
+* ``workers=N`` must be *indistinguishable* from the serial sweep, over
+  the plane or over region maps: identical outcome objects (relations,
+  percentages, paths, errors) and identical repair reports, with or
+  without fault injection.
 
 CI replays this module under several ``REPRO_CHAOS_SEED`` values, like
 the rest of the chaos suite.
@@ -19,8 +20,10 @@ the rest of the chaos suite.
 
 import json
 import math
+import multiprocessing
 import os
 import random
+import threading
 
 import pytest
 
@@ -38,6 +41,10 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 #: No backoff sleeps — chaos tests stay fast.
 TWO_ATTEMPTS = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+
+#: The engines the registry ships: the sweep engine's workers read the
+#: plane, the others' take the region maps from the pool initializer.
+BUILTIN_ENGINES = ("sweep", "exact", "fast", "guarded", "clipping")
 
 
 def square(size: float = 1.0) -> Region:
@@ -123,11 +130,20 @@ def _shm_segments():
 
 @pytest.fixture
 def no_leaked_segments():
-    """Assert the test leaves no new ``/dev/shm`` segment behind."""
+    """Assert the test leaves no new ``/dev/shm`` segment behind, and no
+    pool worker process or executor thread either."""
     before = _shm_segments()
+    threads_before = set(threading.enumerate())
     yield
     leaked = _shm_segments() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    assert multiprocessing.active_children() == []
+    stray = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread not in threads_before
+    ]
+    assert not stray, f"leaked threads: {stray}"
 
 
 def plane_inputs(configuration):
@@ -285,6 +301,34 @@ class TestSegmentCleanup:
             )
         assert report.deadline_hit
 
+    @pytest.mark.parametrize("engine", ["sweep", "exact"])
+    def test_hung_worker_is_killed_with_its_pool(
+        self, engine, no_leaked_segments
+    ):
+        """A hung worker never returns on its own: abandoning its pool
+        must kill it, or it outlives the sweep by the length of the
+        hang (and keeps the interpreter from exiting)."""
+        configuration = grid_configuration(8)
+        expected = batch_relations(configuration, engine=engine).outcomes
+        with injecting(
+            FaultSpec(
+                site="batch.worker",
+                kind="delay",
+                seconds=5.0,
+                only={"chunk": 0, "attempt": 0},
+            ),
+            seed=CHAOS_SEED,
+        ):
+            report = batch_relations(
+                configuration,
+                engine=engine,
+                workers=2,
+                retry_policy=TWO_ATTEMPTS,
+                chunk_timeout=0.5,
+            )
+        assert report.worker_failures >= 1
+        assert report.outcomes == expected
+
     def test_keyboard_interrupt_leaves_no_segment(
         self, no_leaked_segments, monkeypatch
     ):
@@ -377,29 +421,30 @@ class TestSerialParity:
     ):
         """Broken primaries meeting broken references, repaired bowties,
         self pairs and restricted sweeps all assemble exactly as the
-        serial sweep answers them."""
+        serial sweep answers them — on every built-in engine, whether
+        its workers read the plane (sweep) or the region maps."""
         configuration = degenerate_star_configuration()
-        options = {
-            "engine": "sweep",
-            "include_self": include_self,
-            "percentages": percentages,
-        }
+        options = {"include_self": include_self, "percentages": percentages}
         if restricted:
             options["primaries"] = ["g5", "broken-b", "bowtie-a", "broken-a", "g0"]
             options["references"] = [
                 "broken-a", "g7", "bowtie-b", "g5", "broken-b", "g20",
             ]
-        serial = batch_relations(configuration, **options)
-        parallel = batch_relations(configuration, workers=2, **options)
-        assert sorted(serial.broken) == ["broken-a", "broken-b"]
-        assert sorted(serial.repairs) == ["bowtie-a", "bowtie-b"]
-        assert any(
-            {outcome.primary_id, outcome.reference_id} == set(serial.broken)
-            for outcome in serial.outcomes
-        )
-        assert parallel.outcomes == serial.outcomes
-        assert parallel.repairs == serial.repairs
-        assert parallel.broken == serial.broken
+        for engine in BUILTIN_ENGINES:
+            serial = batch_relations(configuration, engine=engine, **options)
+            parallel = batch_relations(
+                configuration, engine=engine, workers=2, **options
+            )
+            assert sorted(serial.broken) == ["broken-a", "broken-b"]
+            assert sorted(serial.repairs) == ["bowtie-a", "bowtie-b"]
+            assert any(
+                {outcome.primary_id, outcome.reference_id}
+                == set(serial.broken)
+                for outcome in serial.outcomes
+            )
+            assert parallel.outcomes == serial.outcomes, engine
+            assert parallel.repairs == serial.repairs, engine
+            assert parallel.broken == serial.broken, engine
 
     @pytest.mark.parametrize("kind", ["kill", "raise"])
     def test_parity_survives_env_injected_faults(
