@@ -10,7 +10,7 @@ pair — and this harness keeps that claim honest with four modes:
 * ``resilient`` — the same run under a generous live deadline and an
   explicit retry policy: every per-pair/per-row budget check actually
   reads the clock.  The headline number is this mode's overhead over
-  ``plain`` (the acceptance gate is <5%);
+  ``plain`` (the design target is <5%; recorded, not gated);
 * ``workers`` — the supervised process-pool path, fault-free: the
   submit/collect supervisor replacing the old bare ``pool.map``;
 * ``workers_faulted`` — the same pool with a deterministic injected
@@ -157,9 +157,9 @@ def run(
 
     Returns a process exit code: 0 when every mode agreed with the
     plain sweep (and the injected fault demonstrably fired), 1
-    otherwise.  The overhead gate itself is asserted by the chaos test
-    suite, not here — a benchmark that fails on a noisy neighbour
-    teaches nothing.
+    otherwise.  The <5% overhead target is recorded
+    (``overhead_vs_plain``) but asserted nowhere: neither this run nor
+    any test fails when ``resilient`` exceeds it.
     """
     if quick:
         regions = min(regions, QUICK_REGIONS)

@@ -1,4 +1,4 @@
-"""The all-pairs sweep shoot-out: naive loop vs cache vs broadcast vs pool.
+"""The all-pairs sweep shoot-out: naive loop vs cache vs plane kernel vs pool.
 
 The paper's core workload — "compute the (percentage) relations between
 all regions" — is an n×n sweep, and this harness starts the repo's perf
@@ -9,13 +9,13 @@ trajectory for it.  Four modes, stacked the way the optimisations stack:
   primary's edge arrays (the documented dominant cost);
 * ``cached`` — the same loop with the engine layer's per-primary
   edge-array cache (one build serves a primary's whole row);
-* ``sweep`` — the sweep engine's bulk rows: exact mbb single-tile
-  pruning plus one ``(n_edges, n_boxes, 3)`` broadcast kernel per
-  remaining row;
-* ``workers`` — the sweep engine fanned out over the shared-memory
-  plane pool (``batch_relations(workers=2)``): one flattened
-  configuration in ``/dev/shm``, index-range chunks, persistent
-  workers.
+* ``sweep`` — the sweep engine's plane kernel, run inline: the
+  configuration flattened once into columnar arrays, exact mbb
+  single-tile pruning plus one ``(n_edges, n_boxes, 3)`` broadcast
+  kernel per remaining row;
+* ``workers`` — the same kernel fanned out over the process pool
+  (``batch_relations(workers=2)``): the flattened configuration handed
+  to each worker once, index-range chunks, persistent workers.
 
 Two scaling tiers ride along on full (non ``--quick``) runs:
 
@@ -35,10 +35,15 @@ mode, region/edge counts, speedups vs the naive loop, per-tier scaling)::
 
 Every mode's relations are asserted identical to the ``exact``
 reference before any number is reported — a fast wrong sweep fails the
-run, it does not set a record.  ``--check-scaling RATIO`` turns the
-record into a gate: exit 1 unless ``workers`` reaches RATIO × the
-serial sweep's pairs/sec (the CI regression tripwire for the
-parallel path).
+run, it does not set a record.  The ``workers`` / ``sweep`` ratio is
+recorded under ``scaling`` but not gated: both modes run the same
+kernel, so on a small map the pool's start-up can outweigh its second
+core.  ``--check-scaling RATIO`` is the CI regression tripwire for the
+pool itself: it times the exact engine — which does all of its work
+inside the workers — at ``workers=2`` against the same call run
+serially (interleaved, best of 5, both checked against the exact
+relations) and exits 1 unless the pooled run reaches RATIO × the
+serial one.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ TIER_REGIONS = 1000
 #: Kernel-only tier: plane sweep over a capped primary slice.
 KERNEL_TIER_REGIONS = 10_000
 KERNEL_TIER_PRIMARIES = 200
+
+#: Interleaved repeats of the ``--check-scaling`` measurement.
+SCALING_REPEATS = 5
 
 
 def _mode_engine(mode: str) -> Engine:
@@ -137,8 +145,9 @@ def _run_modes(modes, configuration, *, repeats: int) -> Dict[str, Dict]:
     }
 
 
-def _check_against_exact(configuration) -> None:
-    """Every mode must reproduce the exact reference's relations."""
+def _check_against_exact(configuration) -> Dict:
+    """Every mode must reproduce the exact reference's relations,
+    which are returned."""
     expected = batch_relations(
         configuration, engine="exact", validate=False, repair=False
     ).relations()
@@ -156,6 +165,43 @@ def _check_against_exact(configuration) -> None:
                 f"mode {mode!r} disagrees with exact on {len(wrong)} "
                 f"pair(s), e.g. {wrong[:3]}"
             )
+    return expected
+
+
+def _run_exact_scaling(configuration, expected: Dict) -> Dict:
+    """The scaling gate's measurement: the exact engine at ``workers=2``
+    against the same call run serially, interleaved best-of-
+    :data:`SCALING_REPEATS`.
+
+    The exact engine does all of its work inside the workers, so the
+    ratio measures the pool rather than a choice of kernel.  Both runs
+    must reproduce the exact reference's ``expected`` relations.
+    """
+    best: Dict[Optional[int], float] = {}
+    for _ in range(SCALING_REPEATS):
+        for workers in (None, 2):
+            started = time.perf_counter()
+            report = batch_relations(
+                configuration,
+                engine="exact",
+                workers=workers,
+                validate=False,
+                repair=False,
+            )
+            elapsed = time.perf_counter() - started
+            if report.relations() != expected:
+                raise AssertionError(
+                    f"exact engine at workers={workers} disagrees with "
+                    "the exact reference"
+                )
+            best[workers] = min(elapsed, best.get(workers, elapsed))
+    return {
+        "engine": "exact",
+        "regions": len(configuration),
+        "serial_seconds": round(best[None], 6),
+        "workers=2_seconds": round(best[2], 6),
+        "ratio": round(best[None] / best[2], 2),
+    }
 
 
 def _time_batch(configuration, *, workers: Optional[int]) -> Dict:
@@ -251,18 +297,11 @@ def _run_kernel_tier(verbose: bool) -> Dict:
         for region_id, region in healthy.items()
     }
     all_ids = list(configuration.region_ids)
-    plane = GeometryPlane.build(
-        all_ids, healthy=healthy, boxes=boxes, broken={}
-    )
-    try:
-        engine = create_engine("sweep")
-        started = time.perf_counter()
-        rows_done, _, _, _ = engine.sweep_plane(
-            plane, 0, KERNEL_TIER_PRIMARIES
-        )
-        elapsed = time.perf_counter() - started
-    finally:
-        plane.destroy()
+    plane = GeometryPlane.build(all_ids, healthy=healthy, boxes=boxes)
+    engine = create_engine("sweep")
+    started = time.perf_counter()
+    rows_done, _, _, _ = engine.sweep_plane(plane, 0, KERNEL_TIER_PRIMARIES)
+    elapsed = time.perf_counter() - started
     if rows_done != KERNEL_TIER_PRIMARIES:
         raise AssertionError(
             f"kernel tier swept {rows_done} rows, "
@@ -304,10 +343,11 @@ def run(
 
     ``tiers`` adds the 1k full-pipeline and 10k kernel-only tiers
     (default: on for full runs, off for ``--quick``).
-    ``check_scaling`` turns the run into a gate: exit 1 unless the
-    ``workers`` mode reaches that multiple of the serial sweep's
-    pairs/sec.  Returns a process exit code: 0 when every mode agreed
-    with its reference (and any gate passed), 1 otherwise.
+    ``check_scaling`` turns the run into a gate: exit 1 unless the exact
+    engine at ``workers=2`` reaches that multiple of its serial speed
+    (see :func:`_run_exact_scaling`; recorded under ``scaling_gate``).
+    Returns a process exit code: 0 when every mode agreed with its
+    reference (and any gate passed), 1 otherwise.
     """
     if quick:
         regions = min(regions, QUICK_REGIONS)
@@ -315,7 +355,7 @@ def run(
         tiers = not quick
     configuration = sweep_configuration(regions, edges=EDGES_PER_REGION)
     try:
-        _check_against_exact(configuration)
+        expected = _check_against_exact(configuration)
     except AssertionError as error:
         print(f"FAIL: {error}", file=sys.stderr)
         return 1
@@ -351,6 +391,19 @@ def run(
         },
         "scaling": {"workers=2": scaling_ratio},
     }
+    if check_scaling is not None:
+        try:
+            gate = _run_exact_scaling(configuration, expected)
+        except AssertionError as error:
+            print(f"FAIL: {error}", file=sys.stderr)
+            return 1
+        result["scaling_gate"] = gate
+        if verbose:
+            print(
+                f"scaling gate: exact workers=2 at {gate['ratio']:.2f}x "
+                f"serial ({gate['workers=2_seconds']:.3f} s vs "
+                f"{gate['serial_seconds']:.3f} s)"
+            )
     if tiers:
         try:
             result["tiers"] = {
@@ -365,12 +418,13 @@ def run(
     path.write_text(json.dumps(result, indent=2) + "\n")
     if verbose:
         print(f"written to {path}")
-    if check_scaling is not None and scaling_ratio < check_scaling:
+    if check_scaling is not None and gate["ratio"] < check_scaling:
         print(
-            f"FAIL: workers mode reached only {scaling_ratio:.2f}x the "
-            f"serial sweep ({modes['workers']['pairs_per_second']:.0f} vs "
-            f"{modes['sweep']['pairs_per_second']:.0f} pairs/s); the "
-            f"gate demands >= {check_scaling:.2f}x",
+            f"FAIL: the exact engine at workers=2 reached only "
+            f"{gate['ratio']:.2f}x its serial speed "
+            f"({gate['workers=2_seconds']:.3f} s vs "
+            f"{gate['serial_seconds']:.3f} s); the gate demands "
+            f">= {check_scaling:.2f}x",
             file=sys.stderr,
         )
         return 1
@@ -460,8 +514,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="RATIO",
-        help="exit 1 unless the workers mode reaches RATIO x the serial "
-        "sweep's pairs/sec (CI regression gate)",
+        help="exit 1 unless the exact engine at workers=2 reaches RATIO "
+        "x its serial speed (CI regression gate for the pool)",
     )
     arguments = parser.parse_args(argv)
     return run(

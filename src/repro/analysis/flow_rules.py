@@ -9,9 +9,8 @@ walk (:mod:`repro.analysis.rules`) cannot see because they are about
 ========  ====================  =========================================
 id        name                  contract
 ========  ====================  =========================================
-RA007     resource-lifecycle    every ``GeometryPlane.build()`` /
-                                ``SharedMemory(create=True)`` acquisition
-                                reaches ``destroy()`` / ``unlink()`` on
+RA007     resource-lifecycle    every ``SharedMemory(create=True)``
+                                acquisition reaches ``unlink()`` on
                                 **all** paths, exceptional ones included
                                 (``with``-managed acquisitions pass
                                 trivially)
@@ -184,9 +183,9 @@ def _functions_satisfying(
 #: Method names that release an owned segment for good.  ``close()``
 #: alone is deliberately *not* a release: an owner that closes without
 #: unlinking still leaks the named segment in ``/dev/shm``.
-_RELEASE_METHODS = frozenset({"destroy", "unlink"})
+_RELEASE_METHODS = frozenset({"unlink"})
 
-#: Container-transfer methods: ``planes.append(plane)`` hands the
+#: Container-transfer methods: ``segments.append(segment)`` hands the
 #: object to an owner with its own lifecycle.
 _TRANSFER_METHODS = frozenset({"append", "add", "put", "push", "register"})
 
@@ -194,10 +193,6 @@ _TRANSFER_METHODS = frozenset({"append", "add", "put", "push", "register"})
 def _acquisition(call: ast.Call) -> Optional[str]:
     """A short resource label when this call acquires an owned segment."""
     callee = _callee_name(call)
-    if callee == "build":
-        receiver = _receiver_name(call)
-        if receiver is not None and "plane" in receiver.lower():
-            return "plane segment"
     if callee == "SharedMemory":
         for keyword in call.keywords:
             if (
@@ -312,21 +307,19 @@ class _ReleaseAnalysis(DataflowAnalysis):
 class ResourceLifecycleRule(Rule):
     """Owned segments must be released on every path out.
 
-    A ``GeometryPlane.build()`` or ``SharedMemory(create=True)`` that
-    does not reach ``destroy()`` / ``unlink()`` on some path —
-    including the path where the very next statement raises — leaks a
-    named ``/dev/shm`` segment for the life of the machine, the exact
-    incident class the ROADMAP's ``cardirect serve`` daemon cannot
-    afford.  Wrap the acquisition in ``try/finally``, use it as a
-    context manager, or hand it to an owner (return it, store it on
-    ``self``) whose lifecycle is checked instead.
+    A ``SharedMemory(create=True)`` that does not reach ``unlink()`` on
+    some path — including the path where the very next statement
+    raises — leaks a named ``/dev/shm`` segment for the life of the
+    machine, the exact incident class the ROADMAP's ``cardirect serve``
+    daemon cannot afford.  Wrap the acquisition in ``try/finally``, use
+    it as a context manager, or hand it to an owner (return it, store it
+    on ``self``) whose lifecycle is checked instead.
     """
 
     id = "RA007"
     name = "resource-lifecycle"
     description = (
-        "plane/SharedMemory acquisitions must reach destroy()/unlink() "
-        "on all paths"
+        "SharedMemory acquisitions must reach unlink() on all paths"
     )
     packages = None
 
@@ -369,7 +362,7 @@ class ResourceLifecycleRule(Rule):
                     module,
                     node.stmt,
                     f"{resource} {variable!r} may not reach "
-                    "destroy()/unlink() on every path (exception paths "
+                    "unlink() on every path (exception paths "
                     "included); wrap in try/finally or transfer "
                     "ownership explicitly",
                 )
@@ -387,7 +380,6 @@ _WORK_CALLS = frozenset(
     {
         "_compute_pair",
         "_pair_outcome",
-        "_bulk_row",
         "_retry_pair",
         "_compose_pair",
         "compute_relation",

@@ -677,6 +677,13 @@ def _cmd_reason(
                 "refinements might still admit a solution"
             )
             return 2
+        if report.max_candidates_exceeded:
+            print(
+                "unknown: search cut short after checking "
+                f"{report.examined - 1} candidate refinement(s); unexamined "
+                "refinements might still admit a solution"
+            )
+            return 2
         if report.unverified_candidates:
             print(
                 "unknown: no candidate refinement could be verified "

@@ -20,28 +20,32 @@ pairwise matrix with **per-pair fault isolation**:
 The result is a :class:`BatchReport` of :class:`PairOutcome` entries —
 ``ok`` / ``repaired`` / ``error`` — never an exception for bad geometry.
 
-Two sweep accelerations ride on top of the isolation machinery:
+Two execution paths share the isolation machinery:
 
-* engines exposing the **bulk protocol** (``relation_many`` /
-  ``percentages_many``, e.g. :class:`~repro.core.sweep.SweepEngine`)
-  answer one primary against its whole row of reference boxes in a
-  single call; a row whose bulk computation raises falls back to the
-  per-pair loop, so fault isolation is preserved pair by pair;
+* an engine that speaks the **plane protocol** (``supports_plane``,
+  e.g. :class:`~repro.core.sweep.SweepEngine`) answers whole primary
+  rows through ``sweep_plane`` over a
+  :class:`~repro.core.plane.GeometryPlane` — the configuration the
+  parent flattens once into columnar numpy arrays — serially as an
+  inline run of the pool's chunk function, carved into chunks so a
+  percentage sweep holds one chunk's area block at a time.  Rows the
+  kernel does not answer (past a deadline, or in a chunk that raised)
+  go to the per-pair loop :func:`_sweep_rows`, so fault isolation is
+  preserved pair by pair; for every other engine that loop is the
+  whole sweep;
 * ``workers=N`` chunks the primary rows across one **persistent,
   supervised process pool** for every engine: each worker recreates the
   engine from :meth:`~repro.core.engine.Engine.worker_spec`, receives
-  the sweep's geometry once at initializer time, and sweeps index-range
-  chunks sized adaptively from observed chunk latency; outcomes keep
-  primary-major order and per-worker
-  :class:`~repro.core.engine.EngineStats` snapshots are merged into the
-  report's stats.  Engines that speak the **plane protocol**
-  (``supports_plane``, e.g. the sweep engine) read a
-  :class:`~repro.core.plane.GeometryPlane` the parent flattens once
-  into shared memory, and return compact tile-mask/area blocks the
-  parent assembles into outcomes.  Every other engine's workers get
-  the validated region maps through the pool initializer (inherited
-  under fork, never pickled per chunk) and run the same
-  :func:`_sweep_rows` the serial path runs.
+  the sweep's geometry once at initializer time — the plane for a
+  plane engine, the validated region maps otherwise; inherited under
+  fork, one pickled copy per worker under spawn or forkserver, never
+  pickled per chunk — and sweeps index-range chunks sized adaptively
+  from observed chunk latency.  Outcomes keep primary-major order and
+  per-worker :class:`~repro.core.engine.EngineStats` snapshots are
+  merged into the report's stats.  Plane workers return compact
+  tile-mask/area blocks the parent assembles into outcomes exactly as
+  the inline run does; the others run the same :func:`_sweep_rows`
+  the serial path runs.
 
 When the observability subsystem (:mod:`repro.obs`) has sinks
 installed, the sweep is traced end to end: a ``batch.relations`` root
@@ -59,7 +63,6 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from operator import attrgetter
 from typing import (
@@ -85,6 +88,7 @@ from repro.core.engine import (
 )
 from repro.core.guarded import DEFAULT_EPSILON
 from repro.core.matrix import PercentageMatrix
+from repro.core.plane import GeometryPlane
 from repro.core.relation import RELATIONS_BY_MASK, CardinalDirection
 from repro.core.tiles import Tile
 from repro.core.validate import ERROR, validate_region
@@ -291,54 +295,6 @@ def _try_repair_into(
     return repaired
 
 
-def _supports_bulk(engine: Engine) -> bool:
-    """Whether the engine answers whole rows (the bulk protocol)."""
-    return hasattr(engine, "relation_many") and hasattr(
-        engine, "percentages_many"
-    )
-
-
-def _bulk_row(
-    primary_id: str,
-    reference_ids: Sequence[str],
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    *,
-    backend: Engine,
-    percentages: bool,
-) -> Dict[str, PairOutcome]:
-    """One primary against its whole reference row, in one bulk call.
-
-    Raises whatever the engine raises — the caller catches and replays
-    the row pair by pair so one bad pair cannot poison its neighbours.
-    """
-    primary = healthy[primary_id]
-    row_boxes = [boxes[reference_id] for reference_id in reference_ids]
-    relations = backend.relation_many(primary, row_boxes)
-    matrices = (
-        backend.percentages_many(primary, row_boxes) if percentages else None
-    )
-    row: Dict[str, PairOutcome] = {}
-    for index, reference_id in enumerate(reference_ids):
-        relation, path = relations[index]
-        matrix: Optional[PercentageMatrix] = None
-        if matrices is not None:
-            matrix, matrix_path = matrices[index]
-            if matrix_path is not None and matrix_path != path:
-                path = f"{path}/{matrix_path}"
-        repaired_pair = primary_id in repairs or reference_id in repairs
-        row[reference_id] = PairOutcome(
-            primary_id,
-            reference_id,
-            REPAIRED if repaired_pair else OK,
-            relation=relation,
-            percentages=matrix,
-            path=path,
-        )
-    return row
-
-
 def _unusable_outcome(
     primary_id: str, reference_id: str, broken: Dict[str, str]
 ) -> PairOutcome:
@@ -524,25 +480,23 @@ def _sweep_rows(
     percentages: bool,
     repair: bool,
     policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
-    attempt: int = 0,
 ) -> List[PairOutcome]:
-    """The primary-major sweep over ``primary_ids`` × ``all_ids``.
+    """The per-pair sweep over ``primary_ids`` × ``all_ids``.
 
-    Rows go through the engine's bulk protocol when it offers one,
-    falling back to the per-pair loop (with its per-pair fault
-    isolation and retry-after-repair) when the bulk call raises.
+    Every pair goes through :func:`_pair_outcome`, with its per-pair
+    fault isolation and retry-after-repair.  This is the whole sweep of
+    an engine without the plane protocol, and the fallback for the rows
+    the plane kernel did not answer (see :func:`_inline_rows`).
     Mutates ``healthy`` / ``boxes`` / ``repairs`` as retries repair
-    regions, exactly like the per-pair loop always has.
+    regions, so later pairs reuse the repaired geometry.
 
     The current deadline (contextvar) is checked once per row and once
     per pair: when it expires, every unreached pair is emitted as a
     ``DEADLINE`` outcome, so the output always covers the full
     ``primary_ids`` × ``all_ids`` matrix — partial work is labelled,
-    never silently dropped.  ``attempt`` is the chunk dispatch attempt,
-    threaded into the ``batch.row`` fault-injection context.
+    never silently dropped.
     """
     outcomes: List[PairOutcome] = []
-    use_bulk = _supports_bulk(backend)
     deadline = current_deadline()
     for position, primary_id in enumerate(primary_ids):
         if deadline is not None and deadline.expired():
@@ -554,64 +508,27 @@ def _sweep_rows(
                     if include_self or reference_id != late_primary
                 )
             break
-        reference_ids = [
-            reference_id
-            for reference_id in all_ids
-            if include_self or reference_id != primary_id
-        ]
-        row: Dict[str, PairOutcome] = {}
-        computable: List[str] = []
-        for reference_id in reference_ids:
-            if primary_id in broken or reference_id in broken:
-                row[reference_id] = _unusable_outcome(
-                    primary_id, reference_id, broken
-                )
-            else:
-                computable.append(reference_id)
-        if use_bulk and computable:
-            try:
-                fault_point("batch.row", primary=primary_id, attempt=attempt)
-                row.update(
-                    _bulk_row(
-                        primary_id,
-                        computable,
-                        healthy,
-                        boxes,
-                        repairs,
-                        backend=backend,
-                        percentages=percentages,
-                    )
-                )
-                computable = []
-            except DeadlineExceeded as error:
-                row.update(
-                    {
-                        reference_id: _deadline_outcome(
-                            primary_id, reference_id, str(error)
-                        )
-                        for reference_id in computable
-                    }
-                )
-                computable = []
-            except ReproError:
-                pass  # replay the row pair by pair below
-        for reference_id in computable:
-            if deadline is not None and deadline.expired():
-                row[reference_id] = _deadline_outcome(primary_id, reference_id)
+        for reference_id in all_ids:
+            if not include_self and reference_id == primary_id:
                 continue
-            row[reference_id] = _pair_outcome(
-                primary_id,
-                reference_id,
-                healthy,
-                boxes,
-                repairs,
-                broken,
-                backend=backend,
-                percentages=percentages,
-                repair=repair,
-                policy=policy,
-            )
-        outcomes.extend(row[reference_id] for reference_id in reference_ids)
+            if primary_id in broken or reference_id in broken:
+                outcome = _unusable_outcome(primary_id, reference_id, broken)
+            elif deadline is not None and deadline.expired():
+                outcome = _deadline_outcome(primary_id, reference_id)
+            else:
+                outcome = _pair_outcome(
+                    primary_id,
+                    reference_id,
+                    healthy,
+                    boxes,
+                    repairs,
+                    broken,
+                    backend=backend,
+                    percentages=percentages,
+                    repair=repair,
+                    policy=policy,
+                )
+            outcomes.append(outcome)
     return outcomes
 
 
@@ -688,58 +605,51 @@ class _Chunk:
 #: every chunk the worker serves — the point of the persistent pool is
 #: that the sweep's constant state crosses the process boundary once
 #: per worker, never once per chunk: the engine spec, then either the
-#: attached plane and its (row, column) restriction (plane engines) or
-#: the region context :func:`_region_block` sweeps (every other engine).
+#: plane and its (row, column) restriction (plane engines) or the
+#: region context :func:`_region_block` sweeps (every other engine).
 _WORKER: Dict[str, Any] = {}
 
 
 def _pool_init(
     engine_spec: tuple,
-    generation: int,
-    plane_name: Optional[str],
+    plane: Optional[GeometryPlane],
     restriction: tuple,
     regions: Optional[tuple],
 ) -> None:
     """Pool initializer: install the sweep's constant state once.
 
-    A plane engine's worker attaches to the shared plane ``plane_name``
-    and sweeps the ``(row_index, column_index)`` ``restriction`` (see
+    A plane engine's worker receives the parent's ``plane`` and sweeps
+    the ``(row_index, column_index)`` ``restriction`` (see
     :func:`batch_relations`'s ``primaries`` / ``references``; ``None``
     entries mean every row / column).
     Any other engine's worker receives ``regions`` instead — the
     restricted primary / reference id lists, the validated ``healthy``
     / ``boxes`` / ``repairs`` / ``broken`` maps, the ``repair`` flag
-    and the retry policy — which under fork are inherited, not pickled.
-
-    ``generation`` is the supervisor's pool rebuild counter, threaded
-    into the ``plane.attach`` fault-injection context so chaos tests can
-    target (or spare) specific rebuilds.  An attach failure kills the
-    worker during initialisation, which breaks the pool; the supervisor
-    answers with a rebuild under the retry policy.
+    and the retry policy.  Under fork the workers inherit either one;
+    under spawn or forkserver each worker unpickles one copy.
     """
     _WORKER.update(
         engine_spec=engine_spec,
-        plane=None,
+        plane=plane,
         restriction=restriction,
         regions=regions,
     )
-    if plane_name is not None:
-        from repro.core.plane import GeometryPlane
-
-        _WORKER["plane"] = GeometryPlane.attach(plane_name, generation=generation)
 
 
-def _plane_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
-    """A plane engine's chunk: ``sweep_plane`` over the attached plane.
+def _plane_block(
+    backend: Engine, task: dict, plane: GeometryPlane, restriction: tuple
+) -> Tuple[int, tuple]:
+    """A plane engine's chunk: ``sweep_plane`` over ``plane``.
 
-    Returns the rows swept — fewer than asked when the worker's
-    deadline slice expired mid-chunk — and the compact ``(masks, paths,
-    areas)`` blocks :func:`_assemble_plane_rows` turns into outcomes in
-    the parent.
+    Runs in a pool worker and, inline, in the parent (see
+    :func:`_inline_rows`).  Returns the rows swept — fewer than asked
+    when the deadline expired mid-chunk — and the compact ``(masks,
+    paths, areas)`` blocks :func:`_assemble_plane_rows` turns into
+    outcomes in the parent.
     """
-    row_index, column_index = _WORKER["restriction"]
+    row_index, column_index = restriction
     rows_done, masks, paths, areas = getattr(backend, "sweep_plane")(
-        _WORKER["plane"],
+        plane,
         task["start"],
         task["stop"],
         include_self=task["include_self"],
@@ -748,8 +658,6 @@ def _plane_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
         row_index=row_index,
         column_index=column_index,
     )
-    if rows_done < task["stop"] - task["start"]:
-        count_deadline_exceeded("batch.sweep")
     return rows_done, (masks, paths, areas)
 
 
@@ -785,7 +693,6 @@ def _region_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
         percentages=task["percentages"],
         repair=repair,
         policy=policy,
-        attempt=task["attempt"],
     )
     new_repairs = {
         region_id: report
@@ -821,7 +728,7 @@ def _pool_chunk(task: dict) -> tuple:
     fault_point("batch.worker", chunk=chunk_index, attempt=attempt)
     engine_name, engine_options = _WORKER["engine_spec"]
     backend = create_engine(engine_name, **engine_options)
-    sweep = _region_block if _WORKER["plane"] is None else _plane_block
+    plane = _WORKER["plane"]
     rows = task["stop"] - task["start"]
     worker_label = f"worker-{chunk_index}"
     tracer = obs.Tracer(worker=worker_label) if task.get("trace") else None
@@ -854,7 +761,15 @@ def _pool_chunk(task: dict) -> tuple:
                             "batch.chunk", chunk=chunk_index, primaries=rows
                         ):
                             with deadline_scope(task.get("deadline_seconds")):
-                                rows_done, block = sweep(backend, task)
+                                rows_done, block = (
+                                    _region_block(backend, task)
+                                    if plane is None
+                                    else _plane_block(
+                                        backend, task, plane, _WORKER["restriction"]
+                                    )
+                                )
+                                if rows_done < rows:
+                                    count_deadline_exceeded("batch.sweep")
     elapsed = time.perf_counter() - started
     # CPU seconds, not wall: under N-way contention the wall latency of
     # a chunk inflates with the worker count, and sizing chunks from it
@@ -889,20 +804,20 @@ def _assemble_plane_rows(
     row_lookup: Optional[Sequence[int]] = None,
     column_positions: Optional[Sequence[int]] = None,
 ) -> List[PairOutcome]:
-    """Worker mask/area blocks → :class:`PairOutcome` rows.
+    """Plane-kernel mask/area blocks → :class:`PairOutcome` rows.
 
-    Reproduces the serial outcome shape bit for bit: broken pairs carry
-    the primary-then-reference unusable message, pruned pairs the exact
-    ``{tile: 100}`` matrix, broadcast pairs a
+    The one assembly of the inline run and the pool alike: broken pairs
+    carry the primary-then-reference unusable message
+    :func:`_sweep_rows` writes, pruned pairs the exact ``{tile: 100}``
+    matrix, broadcast pairs a
     :meth:`~repro.core.matrix.PercentageMatrix.from_areas` over the
-    per-tile float areas in :data:`~repro.core.sweep.AREA_TILE_ORDER` —
-    the same values in the same summation order as the serial kernel.
+    per-tile float areas in :data:`~repro.core.sweep.AREA_TILE_ORDER`.
 
     For a restricted sweep, ``row_lookup`` maps chunk positions to
     global plane rows and ``column_positions`` lists the reference
     columns in the caller's order (both ``None`` for the full matrix),
-    so restricted outcomes match the serial restricted sweep pair for
-    pair.
+    so restricted outcomes come in the caller's primary × reference
+    order.
 
     A million pairs at a thousand regions pass through here, so each row
     is built in bulk: its masks and paths become lists once, relations
@@ -1015,117 +930,129 @@ def _assemble_plane_rows(
     return outcomes
 
 
-def _pool_sweep(
-    all_ids: List[str],
-    *,
-    primaries: Optional[Sequence[str]] = None,
-    references: Optional[Sequence[str]] = None,
-    workers: int,
-    include_self: bool,
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    backend: Engine,
-    percentages: bool,
-    repair: bool,
-    policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
-    chunk_timeout: Optional[float] = None,
-) -> Tuple[List[PairOutcome], Dict[str, int]]:
-    """Fan the sweep out over the persistent supervised pool.
+@dataclass
+class _Sweep:
+    """One sweep's constant state, as the parent holds it.
 
-    For a plane engine (``supports_plane``) this builds the
-    :class:`~repro.core.plane.GeometryPlane` once and **unconditionally**
-    destroys the segment on the way out — success, crashed or hung pool,
-    deadline expiry and ``KeyboardInterrupt`` alike — so no ``/dev/shm``
-    segment can outlive the sweep.  Every other engine runs under the
-    same supervisor without a plane.
-
-    ``primaries`` / ``references`` restrict the swept pairs: the plane
-    still flattens every region (positions are global, and a reference
-    needs geometry whether or not it is a primary), but chunks carve
-    the restricted *row list* and workers skip non-candidate columns.
+    Row positions address ``primary_ids``, the restricted row list, and
+    references keep the caller's order; ``row_index`` /
+    ``column_index`` give their plane rows (``None``: every region, in
+    configuration order).  ``plane`` is set for a plane engine only.
     """
-    # Index mapping happens *before* the plane exists: a stale id in
-    # ``primaries``/``references`` raises KeyError here, where there is
-    # no segment to leak yet (RA007 — nothing fallible may sit between
-    # build() and the try/finally that guarantees destroy()).
-    position_of = {region_id: index for index, region_id in enumerate(all_ids)}
-    row_index = (
-        None
-        if primaries is None
-        else tuple(position_of[region_id] for region_id in primaries)
-    )
-    column_index = (
-        None
-        if references is None
-        else tuple(position_of[region_id] for region_id in references)
-    )
-    supervise = partial(
-        _supervise_pool,
-        all_ids=all_ids,
-        row_index=row_index,
-        column_index=column_index,
-        workers=workers,
-        include_self=include_self,
-        healthy=healthy,
-        boxes=boxes,
-        repairs=repairs,
-        broken=broken,
-        backend=backend,
-        percentages=percentages,
-        repair=repair,
-        policy=policy,
-        chunk_timeout=chunk_timeout,
-    )
-    if not backend.supports_plane:
-        return supervise(None)
-    from repro.core.plane import GeometryPlane
 
-    plane = GeometryPlane.build(
-        all_ids,
-        healthy=healthy,
-        boxes=boxes,
-        broken=broken,
-        repaired=tuple(repairs),
-    )
-    try:
-        return supervise(plane)
-    finally:
-        plane.destroy()
+    all_ids: List[str]
+    primary_ids: List[str]
+    reference_ids: List[str]
+    row_index: Optional[Tuple[int, ...]]
+    column_index: Optional[Tuple[int, ...]]
+    include_self: bool
+    percentages: bool
+    healthy: Dict[str, Region]
+    boxes: Dict[str, BoundingBox]
+    repairs: Dict[str, RepairReport]
+    broken: Dict[str, str]
+    backend: Engine
+    repair: bool
+    policy: RetryPolicy
+    plane: Optional[GeometryPlane]
+
+    def region_rows(self, start: int, stop: int) -> List[PairOutcome]:
+        """Rows ``[start, stop)`` through the per-pair :func:`_sweep_rows`."""
+        return _sweep_rows(
+            self.primary_ids[start:stop],
+            self.reference_ids,
+            include_self=self.include_self,
+            healthy=self.healthy,
+            boxes=self.boxes,
+            repairs=self.repairs,
+            broken=self.broken,
+            backend=self.backend,
+            percentages=self.percentages,
+            repair=self.repair,
+            policy=self.policy,
+        )
+
+    def plane_rows(
+        self, start: int, rows_done: int, block: tuple
+    ) -> List[PairOutcome]:
+        """The answered rows of a :func:`_plane_block` result."""
+        return _assemble_plane_rows(
+            *block,
+            start=start,
+            rows_done=rows_done,
+            all_ids=self.all_ids,
+            include_self=self.include_self,
+            repairs=self.repairs,
+            broken=self.broken,
+            percentages=self.percentages,
+            row_lookup=self.row_index,
+            column_positions=self.column_index,
+        )
+
+
+def _inline_rows(
+    sweep: _Sweep, start: int, stop: int, *, attempt: int = 0
+) -> List[PairOutcome]:
+    """Rows ``[start, stop)`` of the row list, swept in the parent.
+
+    A plane engine runs the pool's chunk function, :func:`_plane_block`,
+    inline over chunks carved by :class:`_ChunkSizer` — so a percentage
+    sweep holds one chunk's ``(rows, n, 9)`` area block at a time — and
+    assembles each block as the pool does.  A chunk whose kernel raised
+    is replayed pair by pair through :func:`_sweep_rows`; the rows past
+    an expired deadline go there too, which labels them ``DEADLINE``
+    and counts the expiry once.  An engine without the plane sweeps
+    every row through :func:`_sweep_rows`.  ``attempt`` reaches the
+    ``batch.row`` fault-injection context.
+    """
+    outcomes: List[PairOutcome] = []
+    plane = sweep.plane
+    if plane is not None:
+        restriction = (sweep.row_index, sweep.column_index)
+        sizer = _ChunkSizer(stop - start, 1)
+        while start < stop:
+            size = sizer.next_size(stop - start)
+            task = {
+                "start": start,
+                "stop": start + size,
+                "include_self": sweep.include_self,
+                "percentages": sweep.percentages,
+                "attempt": attempt,
+            }
+            cpu_started = time.process_time()
+            try:
+                rows_done, block = _plane_block(
+                    sweep.backend, task, plane, restriction
+                )
+            except ReproError:
+                outcomes += sweep.region_rows(start, start + size)
+                start += size
+                continue
+            sizer.observe(rows_done, time.process_time() - cpu_started)
+            outcomes += sweep.plane_rows(start, rows_done, block)
+            start += rows_done
+            if rows_done < size:
+                break  # the deadline expired: the rest is labelled below
+    outcomes += sweep.region_rows(start, stop)
+    return outcomes
 
 
 def _supervise_pool(
-    plane: Optional[Any],
-    *,
-    all_ids: List[str],
-    row_index: Optional[Tuple[int, ...]] = None,
-    column_index: Optional[Tuple[int, ...]] = None,
-    workers: int,
-    include_self: bool,
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    backend: Engine,
-    percentages: bool,
-    repair: bool,
-    policy: RetryPolicy,
-    chunk_timeout: Optional[float],
+    sweep: _Sweep, *, workers: int, chunk_timeout: Optional[float]
 ) -> Tuple[List[PairOutcome], Dict[str, int]]:
     """The one pool supervisor behind every ``workers=N`` sweep.
 
     One :class:`~concurrent.futures.ProcessPoolExecutor` lives across
     the whole sweep, its workers initialised once by :func:`_pool_init`
-    — attached to ``plane`` for a plane engine, handed the validated
-    region maps when ``plane`` is ``None``.  The supervisor keeps up to
-    ``workers`` index-range chunks in flight, carving chunk sizes
-    adaptively from observed chunk latency.  Loss handling:
+    — handed the plane for a plane engine, the validated region maps
+    otherwise.  The supervisor keeps up to ``workers`` index-range
+    chunks in flight, carving chunk sizes adaptively from observed
+    chunk latency.  Loss handling:
 
     * a future that *raises* (an injected fault, a worker bug) loses
       only its own chunk — the pool survives;
     * a ``BrokenProcessPool`` (worker killed) loses every in-flight
-      chunk and the pool is rebuilt with a bumped ``generation``;
+      chunk and the pool is rebuilt;
     * a ``chunk_timeout`` expiry means a hung worker, which never
       returns on its own: every in-flight chunk is lost, the pool's
       workers are killed and the pool is rebuilt.
@@ -1133,7 +1060,7 @@ def _supervise_pool(
     Lost chunks re-enter the dispatch queue with an incremented attempt
     (``policy.max_attempts`` bounding, backoff between attempts); chunks
     that exhaust retries — plus anything stranded by a deadline expiry —
-    run inline through :func:`_sweep_rows`, the serial last resort that
+    run inline through :func:`_inline_rows`, the serial path, which
     labels past-deadline pairs ``DEADLINE``.  Workers return partial
     blocks when their deadline slice expires; the unswept remainder is
     requeued as a fresh chunk so the matrix is always complete.  The
@@ -1148,33 +1075,22 @@ def _supervise_pool(
     registry = obs.current_metrics()
     profiler = obs.current_profiler()
     events_log = obs.current_events()
+    backend = sweep.backend
+    policy = sweep.policy
     engine_spec = backend.worker_spec()
     deadline = current_deadline()
-    total_rows = len(all_ids) if row_index is None else len(row_index)
-    # Chunk [start, stop) addresses positions in the restricted row
-    # list, and references keep the caller's order.
-    primary_row_ids = (
-        all_ids
-        if row_index is None
-        else [all_ids[position] for position in row_index]
-    )
-    reference_ids = (
-        all_ids
-        if column_index is None
-        else [all_ids[position] for position in column_index]
-    )
-    plane_name = None if plane is None else plane.name
+    total_rows = len(sweep.primary_ids)
     regions = (
         None
-        if plane is not None
+        if sweep.plane is not None
         else (
-            primary_row_ids,
-            reference_ids,
-            healthy,
-            boxes,
-            repairs,
-            broken,
-            repair,
+            sweep.primary_ids,
+            sweep.reference_ids,
+            sweep.healthy,
+            sweep.boxes,
+            sweep.repairs,
+            sweep.broken,
+            sweep.repair,
             policy,
         )
     )
@@ -1186,7 +1102,6 @@ def _supervise_pool(
     in_flight: Dict[Any, _Chunk] = {}
     next_start = 0
     next_index = 0
-    generation = 0
     pool: Optional[Any] = None
 
     def _task(chunk: _Chunk) -> dict:
@@ -1195,8 +1110,8 @@ def _supervise_pool(
             "attempt": chunk.attempt,
             "start": chunk.start,
             "stop": chunk.stop,
-            "include_self": include_self,
-            "percentages": percentages,
+            "include_self": sweep.include_self,
+            "percentages": sweep.percentages,
             "deadline_seconds": (
                 deadline.remaining() if deadline is not None else None
             ),
@@ -1260,22 +1175,11 @@ def _supervise_pool(
             )
         if rows_done > 0:
             sizer.observe(rows_done, cpu_seconds)
-            if plane is None:
+            if sweep.plane is None:
                 chunk_outcomes, new_repairs = block
-                repairs.update(new_repairs)
+                sweep.repairs.update(new_repairs)
             else:
-                chunk_outcomes = _assemble_plane_rows(
-                    *block,
-                    start=chunk.start,
-                    rows_done=rows_done,
-                    all_ids=all_ids,
-                    include_self=include_self,
-                    repairs=repairs,
-                    broken=broken,
-                    percentages=percentages,
-                    row_lookup=row_index,
-                    column_positions=column_index,
-                )
+                chunk_outcomes = sweep.plane_rows(chunk.start, rows_done, block)
             completed.append((chunk.start, chunk_outcomes))
         if rows_done < chunk.rows:
             # The worker's deadline slice expired mid-chunk; requeue the
@@ -1331,9 +1235,8 @@ def _supervise_pool(
                         initializer=_pool_init,
                         initargs=(
                             engine_spec,
-                            generation,
-                            plane_name,
-                            (row_index, column_index),
+                            sweep.plane,
+                            (sweep.row_index, sweep.column_index),
                             regions,
                         ),
                     )
@@ -1342,7 +1245,6 @@ def _supervise_pool(
                     future = pool.submit(_pool_chunk, _task(chunk))
                 except BrokenProcessPool:
                     _lose(chunk, "broken_pool")
-                    generation += 1
                     _shutdown_pool(abandon=False)
                     continue
                 in_flight[future] = chunk
@@ -1376,7 +1278,6 @@ def _supervise_pool(
                 for flying_chunk in list(in_flight.values()):
                     _lose(flying_chunk, "timeout")
                 in_flight.clear()
-                generation += 1
                 _shutdown_pool(abandon=True)
                 continue
             pool_broken = False
@@ -1421,7 +1322,6 @@ def _supervise_pool(
                 for flying_chunk in list(in_flight.values()):
                     _lose(flying_chunk, "broken_pool")
                 in_flight.clear()
-                generation += 1
                 _shutdown_pool(abandon=False)
     finally:
         _shutdown_pool(abandon=bool(in_flight))
@@ -1446,18 +1346,10 @@ def _supervise_pool(
                 completed.append(
                     (
                         record.start,
-                        _sweep_rows(
-                            primary_row_ids[record.start : record.stop],
-                            reference_ids,
-                            include_self=include_self,
-                            healthy=healthy,
-                            boxes=boxes,
-                            repairs=repairs,
-                            broken=broken,
-                            backend=backend,
-                            percentages=percentages,
-                            repair=repair,
-                            policy=policy,
+                        _inline_rows(
+                            sweep,
+                            record.start,
+                            record.stop,
                             attempt=policy.max_attempts,
                         ),
                     )
@@ -1499,7 +1391,7 @@ def batch_relations(
     ``engine`` selects the compute backend by registered name —
     ``"exact"`` (reference, the default), ``"fast"`` (float64 numpy),
     ``"guarded"`` (the exactness-fallback ladder), ``"clipping"``,
-    ``"sweep"`` (prune + broadcast bulk rows), or any third-party
+    ``"sweep"`` (prune + broadcast rows over the plane), or any third-party
     :func:`~repro.core.engine.register_engine` registration — or as an
     :class:`~repro.core.engine.Engine` instance.  The engine's
     :class:`~repro.core.engine.EngineStats` for the sweep are threaded
@@ -1591,6 +1483,7 @@ def batch_relations(
             )
     primary_ids = list(primaries) if primaries is not None else all_ids
     reference_ids = list(references) if references is not None else all_ids
+    position_of = {region_id: index for index, region_id in enumerate(all_ids)}
     supervision = {"worker_failures": 0, "chunk_retries": 0, "inline_chunks": 0}
     with deadline_scope(deadline):
         with obs.span(
@@ -1602,40 +1495,44 @@ def batch_relations(
             workers=workers or 1,
             percentages=percentages,
         ) as batch_span:
+            sweep = _Sweep(
+                all_ids=all_ids,
+                primary_ids=primary_ids,
+                reference_ids=reference_ids,
+                row_index=(
+                    None
+                    if primaries is None
+                    else tuple(position_of[region_id] for region_id in primary_ids)
+                ),
+                column_index=(
+                    None
+                    if references is None
+                    else tuple(position_of[region_id] for region_id in reference_ids)
+                ),
+                include_self=include_self,
+                percentages=percentages,
+                healthy=healthy,
+                boxes=boxes,
+                repairs=repairs,
+                broken=broken,
+                backend=backend,
+                repair=repair,
+                policy=policy,
+                plane=(
+                    GeometryPlane.build(all_ids, healthy=healthy, boxes=boxes)
+                    if backend.supports_plane
+                    else None
+                ),
+            )
             if workers is not None and workers > 1 and len(primary_ids) > 1:
-                outcomes, supervision = _pool_sweep(
-                    all_ids,
-                    primaries=primaries,
-                    references=references,
-                    workers=workers,
-                    include_self=include_self,
-                    healthy=healthy,
-                    boxes=boxes,
-                    repairs=repairs,
-                    broken=broken,
-                    backend=backend,
-                    percentages=percentages,
-                    repair=repair,
-                    policy=policy,
-                    chunk_timeout=chunk_timeout,
+                outcomes, supervision = _supervise_pool(
+                    sweep, workers=workers, chunk_timeout=chunk_timeout
                 )
             else:
                 with obs.span(
                     "batch.chunk", chunk=0, primaries=len(primary_ids)
                 ):
-                    outcomes = _sweep_rows(
-                        primary_ids,
-                        reference_ids,
-                        include_self=include_self,
-                        healthy=healthy,
-                        boxes=boxes,
-                        repairs=repairs,
-                        broken=broken,
-                        backend=backend,
-                        percentages=percentages,
-                        repair=repair,
-                        policy=policy,
-                    )
+                    outcomes = _inline_rows(sweep, 0, len(primary_ids))
             tally = Counter(map(attrgetter("status"), outcomes))
             failed = len(outcomes) - tally[OK] - tally[REPAIRED]
             deadline_hit = tally[DEADLINE] > 0

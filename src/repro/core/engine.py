@@ -65,8 +65,8 @@ class EngineEvent:
     """One completed engine operation, as delivered to observers.
 
     ``count`` is the number of pairs the operation answered — 1 for the
-    per-pair protocol, the row length for bulk calls (the sweep
-    engine's ``relation_many`` / ``percentages_many``).
+    per-pair protocol, the row length for the sweep engine's row calls
+    (``sweep_plane``, ``relation_many``).
     """
 
     engine: str
@@ -265,10 +265,12 @@ class Engine:
 
     #: Whether the engine implements the index-addressed
     #: ``sweep_plane(plane, start, stop, ...)`` protocol over a
-    #: shared-memory :class:`~repro.core.plane.GeometryPlane`.  Under
-    #: ``workers=N`` the batch pool then attaches its workers to one
-    #: plane; engines without it get the validated region maps through
-    #: the pool initializer instead.  One supervisor runs both.
+    #: :class:`~repro.core.plane.GeometryPlane`.  Every batch sweep of
+    #: such an engine then runs that kernel — inline when serial, in the
+    #: pool's workers under ``workers=N`` — and falls back to the
+    #: per-pair protocol only for rows the kernel did not answer;
+    #: engines without it sweep pair by pair, and their pool workers get
+    #: the validated region maps instead.  One supervisor runs both.
     supports_plane: bool = False
 
     def __init__(

@@ -10,7 +10,7 @@ all-pairs sweep into a standing, queryable structure.
 
 :class:`SpatialIndex` packs every region's mbb — the four scalars
 ``(min_x, max_x, min_y, max_y)``, exactly the columnar row layout the
-shared-memory :class:`~repro.core.plane.GeometryPlane` materialises —
+:class:`~repro.core.plane.GeometryPlane` materialises —
 into an STR-bulk-loaded page tree (sort-tile-recursive: sort by x
 centre, slab, sort slabs by y centre, chop into pages).  Every page
 keeps per-coordinate ranges, so a query touches a page's members only

@@ -16,23 +16,23 @@ optimisations on top of the engine layer's per-primary edge cache:
    arithmetic alone — exact over the native coordinate types, no edge
    scan, no float.  Boundary contact never prunes: the comparisons are
    strict, so grazing pairs take the full kernel;
-2. **broadcast kernels** — :func:`compute_cdr_fast_many` /
-   :func:`tile_areas_fast_many` classify one primary against *all*
-   reference boxes in a single ``(n_edges, n_boxes, 3)`` numpy
-   invocation (:func:`repro.core.fast._axis_band_intervals_many`),
+2. **broadcast kernels** — one primary is classified against *all*
+   remaining reference boxes in a single ``(n_edges, n_boxes, 3)``
+   numpy invocation (:func:`repro.core.fast._axis_band_intervals_many`),
    amortising the per-call numpy dispatch overhead that dominates
    per-pair sweeps of small regions;
-3. **bulk engine entry points** — :class:`SweepEngine` (registry name
-   ``"sweep"``) serves the ordinary per-pair :class:`Engine` protocol
-   *and* ``relation_many`` / ``percentages_many``, which the batch
-   pipeline (:func:`repro.core.batch.batch_relations`) consumes one
-   primary row at a time.  Path telemetry distinguishes ``"prune"``,
-   ``"broadcast"`` and ``"fast"`` in ``EngineStats.path_counts``.
+3. **the plane sweep** — :meth:`SweepEngine.sweep_plane` (registry
+   name ``"sweep"``) runs both over a row range of a
+   :class:`~repro.core.plane.GeometryPlane`, the configuration
+   flattened into columnar arrays.  Every ``batch_relations`` sweep of
+   this engine goes through it (:mod:`repro.core.batch`): serially as
+   an inline run, under ``workers=N`` in each pool worker.  Path
+   telemetry distinguishes ``"prune"``, ``"broadcast"`` and ``"fast"``
+   (the per-pair protocol) in ``EngineStats.path_counts``.
 
-The optional **parallel executor** — ``batch_relations(workers=N)`` —
-lives in :mod:`repro.core.batch`; it chunks primary rows across a
-process pool and merges per-worker :class:`EngineStats` into the
-:class:`~repro.core.batch.BatchReport`.
+The Region-facing row call :meth:`SweepEngine.relation_many` (over
+:func:`compute_cdr_fast_many`) serves
+:meth:`repro.cardirect.store.RelationStore.refresh_matrix`.
 
 Semantics: the prune path is exact; the kernel paths are float64,
 identical to :mod:`repro.core.fast` (the equivalence property tests
@@ -52,7 +52,6 @@ from repro.core.fast import (
     _TILE_GRID,
     _axis_band_intervals_many,
     _band_intervals_many,
-    _box_lines,
     compute_cdr_fast_against_box,
     tile_areas_fast,
 )
@@ -79,10 +78,9 @@ PLANE_PATH_PRUNE = 1
 PLANE_PATH_BROADCAST = 2
 
 #: The area columns of a plane-sweep percentage block, in exactly the
-#: insertion order of :func:`tile_areas_fast_many`'s per-tile dict — the
+#: insertion order of :func:`_tile_area_columns`'s per-tile dict — the
 #: order determines the float summation order of
-#: :meth:`~repro.core.matrix.PercentageMatrix.from_areas`, so keeping it
-#: identical keeps parallel percentages bit-identical to serial.
+#: :meth:`~repro.core.matrix.PercentageMatrix.from_areas`.
 AREA_TILE_ORDER: Tuple[Tile, ...] = (
     Tile.SW, Tile.W, Tile.NW, Tile.SE, Tile.E, Tile.NE, Tile.S, Tile.N, Tile.B,
 )
@@ -233,33 +231,6 @@ def compute_cdr_fast_many(
     return results
 
 
-def tile_areas_fast_many(
-    primary: Region,
-    boxes: Sequence[BoundingBox],
-    *,
-    arrays: Optional[Tuple[np.ndarray, ...]] = None,
-) -> List[Dict[Tile, float]]:
-    """Per-tile float areas of one primary against many boxes.
-
-    The broadcast counterpart of
-    :func:`repro.core.fast.tile_areas_fast`: the trapezoid accumulators
-    of Compute-CDR% are evaluated as ``(n_edges, n_boxes)`` masked sums
-    — one numpy pass per tile instead of one per pair per tile.
-    """
-    if not boxes:
-        return []
-    col_lo, col_hi, row_lo, row_hi, (x1, y1, dx, dy) = _band_intervals_many(
-        primary, boxes, arrays
-    )
-    per_tile = _tile_area_columns(
-        col_lo, col_hi, row_lo, row_hi, (x1, y1, dx, dy), _box_lines(boxes)
-    )
-    return [
-        {tile: float(values[j]) for tile, values in per_tile.items()}
-        for j in range(len(boxes))
-    ]
-
-
 def _tile_area_columns(
     col_lo: np.ndarray,
     col_hi: np.ndarray,
@@ -270,8 +241,10 @@ def _tile_area_columns(
 ) -> Dict[Tile, np.ndarray]:
     """The masked trapezoid sums as per-tile ``(k,)`` columns.
 
-    The array-level core of :func:`tile_areas_fast_many`, shared with
-    the plane sweep; the dict's insertion order is
+    The broadcast counterpart of :func:`repro.core.fast.tile_areas_fast`:
+    the trapezoid accumulators of Compute-CDR% are evaluated as
+    ``(n_edges, n_boxes)`` masked sums — one numpy pass per tile instead
+    of one per pair per tile.  The dict's insertion order is
     :data:`AREA_TILE_ORDER` (load-bearing — see there).
     """
     x1, y1, dx, dy = arrays
@@ -348,8 +321,8 @@ def _points_in_region(
     The vectorised counterpart of running
     :func:`repro.geometry.predicates.point_in_ring` over every ring of
     a region — same float operations in the same order, so the plane
-    sweep's centre-of-``mbb`` test agrees bit for bit with the serial
-    kernel's.  Even–odd parity is accumulated over *all* edges at once
+    sweep's centre-of-``mbb`` test agrees bit for bit with the Region
+    kernels'.  Even–odd parity is accumulated over *all* edges at once
     instead of per polygon; for a validated region (pairwise-disjoint
     polygon interiors, so no polygon can sit inside another) the parity
     over the union of rings equals the per-polygon disjunction, and any
@@ -389,26 +362,23 @@ def _points_in_region(
 
 
 class SweepEngine(Engine):
-    """Sweep-optimised backend: prune + cached arrays + broadcast bulk.
+    """Sweep-optimised backend: prune + cached arrays + broadcast rows.
 
     Per-pair calls follow the ordinary :class:`Engine` protocol — the
     mbb prune answers trivial exterior placements exactly from box
     arithmetic (path ``"prune"``); everything else takes the float64
     kernel over the cached edge arrays (path ``"fast"``).
 
-    The bulk entry points :meth:`relation_many` /
-    :meth:`percentages_many` answer one primary against a whole row of
-    reference boxes: pruned boxes are filtered out first, the rest go
-    through a single broadcast kernel invocation (path
-    ``"broadcast"``).  ``stats.calls`` advances by the number of boxes
-    served so pairs-per-second telemetry stays comparable with
-    per-pair engines.
-
-    :meth:`sweep_plane` is the index-addressed face of the same
-    kernels: it sweeps a row range of a shared-memory
-    :class:`~repro.core.plane.GeometryPlane` without materialising any
-    :class:`~repro.geometry.region.Region` objects — the path the
-    parallel batch executor dispatches to workers.
+    :meth:`sweep_plane` answers whole primary rows: it sweeps a row
+    range of a :class:`~repro.core.plane.GeometryPlane` without
+    materialising any :class:`~repro.geometry.region.Region` objects —
+    pruned columns are filtered out first, the rest go through a single
+    broadcast kernel invocation per row (path ``"broadcast"``).  It is
+    the path every ``batch_relations`` sweep of this engine takes,
+    serial or pooled.  :meth:`relation_many` is the Region-facing row
+    call the relation store's matrix refresh uses.  Both advance
+    ``stats.calls`` by the number of pairs served, so pairs-per-second
+    telemetry stays comparable with per-pair engines.
     """
 
     name = "sweep"
@@ -448,72 +418,43 @@ class SweepEngine(Engine):
         )
         return matrix, FAST_PATH
 
-    # -- bulk protocol -----------------------------------------------
+    # -- Region rows -------------------------------------------------
 
     def relation_many(
         self, primary: Region, boxes: Sequence[BoundingBox]
     ) -> List[Tuple[CardinalDirection, Optional[str]]]:
-        """``primary R box`` for every box, in one broadcast pass."""
-        return self._bulk(
-            "relation",
-            primary,
-            boxes,
-            prune=lambda tile: RELATIONS_BY_MASK[1 << tile],
-            kernel=compute_cdr_fast_many,
-        )
+        """``primary R box`` for every box, in one broadcast pass.
 
-    def percentages_many(
-        self, primary: Region, boxes: Sequence[BoundingBox]
-    ) -> List[Tuple[PercentageMatrix, Optional[str]]]:
-        """The percentage matrix for every box, in one broadcast pass."""
-
-        def kernel(region, pending, *, arrays=None):
-            return [
-                PercentageMatrix.from_areas(areas)
-                for areas in tile_areas_fast_many(
-                    region, pending, arrays=arrays
-                )
-            ]
-
-        return self._bulk(
-            "percentages", primary, boxes, prune=prune_matrix, kernel=kernel
-        )
-
-    def _bulk(self, operation, primary, boxes, *, prune, kernel):
-        """Shared bulk plumbing: prune filter, one kernel, telemetry."""
+        Pruned boxes are answered from box arithmetic; the rest go
+        through one :func:`compute_cdr_fast_many` invocation.
+        """
         if not boxes:
             return []
         start = time.perf_counter()
         primary_box = self.primary_box(primary)
-        results: List[Optional[Tuple[object, Optional[str]]]] = []
-        pending: List[BoundingBox] = []
-        pending_at: List[int] = []
-        for index, box in enumerate(boxes):
-            tile = single_tile_prune(primary_box, box)
-            if tile is not None:
-                results.append((prune(tile), PRUNE_PATH))
-            else:
-                results.append(None)
-                pending.append(box)
-                pending_at.append(index)
-        paths = {PRUNE_PATH: len(boxes) - len(pending)}
-        if pending:
-            values = kernel(
+        tiles = [single_tile_prune(primary_box, box) for box in boxes]
+        pending = [box for box, tile in zip(boxes, tiles) if tile is None]
+        broadcast = iter(
+            compute_cdr_fast_many(
                 primary, pending, arrays=self.edge_arrays(primary)
             )
-            for index, value in zip(pending_at, values):
-                results[index] = (value, BROADCAST_PATH)
-            paths[BROADCAST_PATH] = len(pending)
+            if pending
+            else []
+        )
+        results: List[Tuple[CardinalDirection, Optional[str]]] = [
+            (next(broadcast), BROADCAST_PATH)
+            if tile is None
+            else (RELATIONS_BY_MASK[1 << tile], PRUNE_PATH)
+            for tile in tiles
+        ]
+        pruned = len(boxes) - len(pending)
+        paths = {PRUNE_PATH: pruned, BROADCAST_PATH: len(pending)}
         elapsed = time.perf_counter() - start
         self.stats.record_bulk(
-            operation, elapsed, len(boxes), {p: n for p, n in paths.items() if n}
+            "relation", elapsed, len(boxes), {p: n for p, n in paths.items() if n}
         )
         self._emit_telemetry(
-            operation,
-            elapsed,
-            BROADCAST_PATH,
-            count=len(boxes),
-            pruned=len(boxes) - len(pending),
+            "relation", elapsed, BROADCAST_PATH, count=len(boxes), pruned=pruned
         )
         return results
 
@@ -533,10 +474,10 @@ class SweepEngine(Engine):
     ) -> Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Sweep plane rows ``[start, stop)`` against every healthy column.
 
-        The index-addressed bulk path: geometry comes straight from the
-        shared-memory plane's columnar arrays — no ``Region`` objects,
-        no pickled boxes, no per-worker edge rebuilds.  Row results
-        land in full-width arrays indexed by global column:
+        The index-addressed row path: geometry comes straight from the
+        plane's columnar arrays — no ``Region`` objects, no per-row
+        edge rebuilds.  Row results land in full-width arrays indexed
+        by global column:
 
         * ``masks`` — ``(rows, n)`` uint16 tile bitmask per pair
           (``1 << int(tile)``), 0 for self / broken / unswept columns;
@@ -550,10 +491,10 @@ class SweepEngine(Engine):
         Returns ``(rows_done, masks, paths, areas)``.  ``rows_done <
         stop - start`` only when the ambient deadline expired — partial
         work is returned, never discarded; the caller labels the rest.
-        Per-pair float semantics, prune decisions, stats accounting
-        (``record_bulk`` per row and operation) and telemetry match
-        :meth:`relation_many` / :meth:`percentages_many` exactly —
-        the equivalence suite asserts byte-identical outcomes.
+        Prune decisions and stats accounting (``record_bulk`` per row
+        and operation) match :meth:`relation_many`; relations and
+        percentages are checked against the exact engine by the
+        equivalence suites.
 
         ``row_index`` / ``column_index`` restrict the sweep to an
         index-supplied subset: ``row_index`` is a list of global plane

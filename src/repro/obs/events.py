@@ -1,7 +1,7 @@
 """The structured event log: span-correlated, severity-tagged moments.
 
-Spans measure *durations*; events record *moments* — a plane segment
-built, a worker chunk lost, an operation running past its budget.  An
+Spans measure *durations*; events record *moments* — a worker chunk
+lost, an operation running past its budget.  An
 :class:`EventLog` collects :class:`Event` records (name, severity,
 wall-clock stamp, free-form attributes) and correlates each with the
 innermost open span of the installed tracer, so a JSONL event stream

@@ -18,7 +18,7 @@ Three properties mirror the rest of ``repro.obs``:
 * **span attribution** — each sample's first folded segment is the
   innermost *open* span of the sampled thread (the tracer maintains a
   per-thread span-name stack exactly for this), so a collapsed stack
-  reads ``batch.chunk;sweep.py:relation_many;...`` and flamegraphs
+  reads ``batch.chunk;sweep.py:sweep_plane;...`` and flamegraphs
   group by operation before function;
 * **mergeable across processes** — a worker profiler ships its counts
   as a plain dict (:meth:`SamplingProfiler.to_payload`); the parent

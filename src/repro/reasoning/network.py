@@ -13,13 +13,15 @@ of such constraints, built on the composition and inverse operators:
   each ``R_ij`` against ``R_ik ∘ R_kj`` and against the inverses, to a
   fixpoint.  Sound (never removes a relation that participates in a
   solution) but — as for most non-trivial calculi — not complete;
-* :meth:`DisjunctiveNetwork.solve` — backtracking refinement search: pick
-  a basic relation from each disjunction and hand the basic network to
+* :meth:`DisjunctiveNetwork.solve` — generate-and-test refinement
+  search: enumerate complete refinements (a basic relation from each
+  disjunction) and hand each basic network to
   :func:`~repro.reasoning.consistency.check_consistency`.  Every returned
   solution carries *verified witness regions*; because the basic-network
   checker may answer UNKNOWN on exotic orderings, the search is sound and
   witness-producing but may miss solutions it cannot verify (it reports
-  how many candidates were skipped for that reason).
+  how many candidates were skipped for that reason), and a search cut at
+  ``max_candidates`` is reported as such, never as inconsistent.
 """
 
 from __future__ import annotations
@@ -68,17 +70,19 @@ class SolveReport:
 
     ``solution`` is ``None`` when no candidate refinement could be
     verified; ``unverified_candidates`` counts refinements the basic
-    checker answered UNKNOWN on (0 means the negative answer is certain).
-    ``deadline_exceeded`` marks a negative answer that is really a
-    labelled partial result: the wall-clock budget ran out after
-    ``examined`` of the candidate refinements, so unexamined candidates
-    might still admit a solution.
+    checker answered UNKNOWN on.  ``deadline_exceeded`` and
+    ``max_candidates_exceeded`` mark a negative answer that is really a
+    labelled partial result: the wall-clock budget or the candidate
+    bound ran out after ``examined`` of the candidate refinements, so
+    unexamined candidates might still admit a solution.  The negative
+    answer is certain only when all three are unset.
     """
 
     solution: Optional[Solution]
     unverified_candidates: int = 0
     deadline_exceeded: bool = False
     examined: int = 0
+    max_candidates_exceeded: bool = False
 
     def __bool__(self) -> bool:
         return self.solution is not None
@@ -280,16 +284,21 @@ class DisjunctiveNetwork:
     ) -> SolveReport:
         """Search for a verified solution by refinement.
 
-        Runs algebraic closure first, then backtracks over basic choices
-        for each constrained pair (smallest disjunctions first), checking
-        each complete refinement with the basic-network consistency
-        checker.  ``max_candidates`` bounds the number of complete
-        refinements examined; ``deadline`` (seconds, or a
+        Runs algebraic closure first, then enumerates complete
+        refinements — one basic relation per constrained pair, smallest
+        disjunctions first, in :func:`itertools.product` order — and
+        checks each with the basic-network consistency checker.  It
+        generates and tests; it does not backtrack over partial
+        assignments.  ``max_candidates`` bounds the number of complete
+        refinements checked; ``deadline`` (seconds, or a
         :class:`~repro.resilience.Deadline` — an enclosing
         :func:`~repro.resilience.deadline_scope` works too) bounds the
-        wall-clock.  On expiry the report is a labelled partial result:
-        ``deadline_exceeded`` is set and ``examined`` says how far the
-        candidate enumeration got before stopping.
+        wall-clock.  Either cut makes the report a labelled partial
+        result whose negative answer is unknown: ``deadline_exceeded``
+        or ``max_candidates_exceeded`` is set, and ``examined`` says how
+        far the enumeration got (``max_candidates + 1`` on a candidate
+        cut: the refinement that tripped the bound is counted, not
+        checked).
         """
         if not self._constraints:
             raise ReasoningError("empty network")
@@ -311,6 +320,7 @@ class DisjunctiveNetwork:
             unverified = 0
             examined = 0
             out_of_time = False
+            cut = False
             for combo in itertools.product(*choices):
                 if (
                     active_deadline is not None
@@ -321,6 +331,7 @@ class DisjunctiveNetwork:
                     break
                 examined += 1
                 if examined > max_candidates:
+                    cut = True
                     break
                 candidate = dict(zip(keys, combo))
                 result = check_consistency(candidate)
@@ -341,7 +352,7 @@ class DisjunctiveNetwork:
                 outcome=(
                     "deadline"
                     if out_of_time
-                    else "unknown" if unverified else "inconsistent"
+                    else "unknown" if unverified or cut else "inconsistent"
                 ),
                 candidates=examined,
                 unverified=unverified,
@@ -351,4 +362,5 @@ class DisjunctiveNetwork:
                 unverified_candidates=unverified,
                 deadline_exceeded=out_of_time,
                 examined=examined,
+                max_candidates_exceeded=cut,
             )

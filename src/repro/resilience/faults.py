@@ -17,16 +17,12 @@ workers however they were started).  Current sites:
 
 ========================  ===================================================
 ``batch.worker``          top of a parallel chunk (ctx: chunk, attempt)
-``batch.row``             before a bulk sweep row (ctx: primary, attempt)
+``batch.row``             before a plane-kernel sweep row, serial or in a
+                          worker (ctx: primary, attempt)
 ``batch.pair``            inside one pair computation (ctx: primary,
                           reference, attempt)
 ``batch.region``          region ingestion — ``corrupt`` swaps two polygon
                           vertices into a bowtie (ctx: region_id)
-``plane.attach``          worker attaching to the shared-memory geometry
-                          plane at pool-initializer time (ctx: name,
-                          generation — the supervisor's pool rebuild
-                          counter, so chaos tests can target or spare
-                          specific rebuilds)
 ========================  ===================================================
 
 Fault kinds: ``raise`` (throw :class:`~repro.errors.InjectedFault`),

@@ -16,59 +16,59 @@ def rule_ids(findings):
 
 
 class TestResourceLifecycle:
-    """RA007 — acquisitions must reach destroy()/unlink() on all paths."""
+    """RA007 — acquisitions must reach unlink() on all paths."""
 
     def test_build_without_destroy_on_exception_path(self):
-        # The seeded violation from the issue: compute() may raise
-        # between build() and destroy(), leaking the segment.
+        # The seeded violation: compute() may raise between the
+        # acquisition and unlink(), leaking the segment.
         findings = lint(
-            "def sweep(regions):\n"
-            "    plane = GeometryPlane.build(regions)\n"
-            "    results = compute(plane)\n"
-            "    plane.destroy()\n"
+            "def sweep(size):\n"
+            "    segment = SharedMemory(create=True, size=size)\n"
+            "    results = compute(segment)\n"
+            "    segment.unlink()\n"
             "    return results\n",
             select=["RA007"],
         )
         assert rule_ids(findings) == ["RA007"]
         assert findings[0].line == 2
-        assert "destroy()/unlink()" in findings[0].message
+        assert "unlink()" in findings[0].message
         assert findings[0].severity == "error"
 
     def test_try_finally_release_is_clean(self):
         findings = lint(
-            "def sweep(regions):\n"
-            "    plane = GeometryPlane.build(regions)\n"
+            "def sweep(size):\n"
+            "    segment = SharedMemory(create=True, size=size)\n"
             "    try:\n"
-            "        return compute(plane)\n"
+            "        return compute(segment)\n"
             "    finally:\n"
-            "        plane.destroy()\n",
+            "        segment.unlink()\n",
             select=["RA007"],
         )
         assert findings == []
 
     def test_context_manager_is_clean(self):
         findings = lint(
-            "def sweep(regions):\n"
-            "    with GeometryPlane.build(regions) as plane:\n"
-            "        return compute(plane)\n",
+            "def sweep(size):\n"
+            "    with SharedMemory(create=True, size=size) as segment:\n"
+            "        return compute(segment)\n",
             select=["RA007"],
         )
         assert findings == []
 
     def test_returning_the_resource_transfers_ownership(self):
         findings = lint(
-            "def open_plane(regions):\n"
-            "    plane = GeometryPlane.build(regions)\n"
-            "    return plane\n",
+            "def open_segment(size):\n"
+            "    segment = SharedMemory(create=True, size=size)\n"
+            "    return segment\n",
             select=["RA007"],
         )
         assert findings == []
 
     def test_storing_on_self_transfers_ownership(self):
         findings = lint(
-            "def attach(self, regions):\n"
-            "    plane = GeometryPlane.build(regions)\n"
-            "    self._plane = plane\n"
+            "def attach(self, size):\n"
+            "    segment = SharedMemory(create=True, size=size)\n"
+            "    self._segment = segment\n"
             "    configure(self)\n"
             "    return None\n",
             select=["RA007"],
@@ -77,10 +77,10 @@ class TestResourceLifecycle:
 
     def test_container_append_transfers_ownership(self):
         findings = lint(
-            "def pool_up(regions, planes):\n"
-            "    plane = GeometryPlane.build(regions)\n"
-            "    planes.append(plane)\n"
-            "    warm(planes)\n"
+            "def pool_up(size, segments):\n"
+            "    segment = SharedMemory(create=True, size=size)\n"
+            "    segments.append(segment)\n"
+            "    warm(segments)\n"
             "    return None\n",
             select=["RA007"],
         )
@@ -108,26 +108,26 @@ class TestResourceLifecycle:
         assert findings == []
 
     def test_store_into_buffer_does_not_kill_the_fact(self):
-        # ``plane.buf[0] = data`` stores *into* the resource; the name
+        # ``segment.buf[0] = data`` stores *into* the resource; the name
         # still owns it, and the finally still releases it.
         findings = lint(
-            "def fill(regions, data):\n"
-            "    plane = GeometryPlane.build(regions)\n"
+            "def fill(size, data):\n"
+            "    segment = SharedMemory(create=True, size=size)\n"
             "    try:\n"
-            "        plane.buf[0] = data\n"
-            "        return finish(plane)\n"
+            "        segment.buf[0] = data\n"
+            "        return finish(segment)\n"
             "    finally:\n"
-            "        plane.destroy()\n",
+            "        segment.unlink()\n",
             select=["RA007"],
         )
         assert findings == []
 
     def test_release_on_one_branch_only_is_flagged(self):
         findings = lint(
-            "def sweep(regions, keep):\n"
-            "    plane = GeometryPlane.build(regions)\n"
+            "def sweep(size, keep):\n"
+            "    segment = SharedMemory(create=True, size=size)\n"
             "    if keep:\n"
-            "        plane.destroy()\n"
+            "        segment.unlink()\n"
             "    return None\n",
             select=["RA007"],
         )

@@ -38,10 +38,10 @@ class TestReportShape:
 
     def test_results_reference_rules_by_index(self):
         result, rules = run_linter(
-            "def sweep(regions):\n"
-            "    plane = GeometryPlane.build(regions)\n"
-            "    work(plane)\n"
-            "    plane.destroy()\n",
+            "def sweep(size):\n"
+            "    segment = SharedMemory(create=True, size=size)\n"
+            "    work(segment)\n"
+            "    segment.unlink()\n",
             select=["RA007"],
         )
         assert len(result.findings) == 1

@@ -91,6 +91,30 @@ class TestDeadlineOptions:
         assert "consistent" in capsys.readouterr().out
 
 
+class TestReasonSearchCut:
+    def test_cut_search_prints_unknown_and_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from functools import partialmethod
+
+        from repro.reasoning.network import DisjunctiveNetwork
+
+        path = tmp_path / "net.txt"
+        # Consistent: the third complete refinement verifies.
+        path.write_text("v0 {S, SW} v1\nv0 {S, SE} v2\nv1 {E, SE} v2\n")
+        assert main(["reason", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(
+            DisjunctiveNetwork,
+            "solve",
+            partialmethod(DisjunctiveNetwork.solve, max_candidates=1),
+        )
+        assert main(["reason", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("unknown: search cut short")
+        assert "inconsistent" not in out
+
+
 class TestKeyboardInterrupt:
     def test_plain_interrupt_exits_130_with_one_line(
         self, demo_xml, capsys, monkeypatch

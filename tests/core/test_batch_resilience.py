@@ -236,6 +236,29 @@ class TestDeadlines:
         }
         assert "r0" in ok_primaries and "r5" not in ok_primaries
 
+    def test_serial_expiry_is_counted_once(self):
+        """The plane kernel stops at the expiry and the per-pair path
+        labels the rest; only the latter counts the expiry."""
+        from repro import obs
+
+        configuration = grid_configuration(6)
+        registry = obs.MetricsRegistry()
+        with obs.collecting(registry), injecting(
+            FaultSpec(
+                site="batch.row",
+                kind="delay",
+                seconds=0.4,
+                only={"primary": "r2"},
+            ),
+            seed=CHAOS_SEED,
+        ):
+            report = batch_relations(
+                configuration, engine="sweep", deadline=0.2
+            )
+        assert report.deadline_hit
+        counter = registry.counter("repro_deadline_exceeded_total")
+        assert counter.value(site="batch.sweep") == 1
+
     def test_generous_deadline_changes_nothing(self):
         configuration = grid_configuration(4)
         expected = serial_oracle(configuration)

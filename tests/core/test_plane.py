@@ -1,18 +1,18 @@
-"""The shared-memory geometry plane: layout, lifecycle, and parity.
+"""The geometry plane: layout, cleanup, and parity.
 
 Three obligations, in order of blast radius:
 
-* the flattened segment must round-trip a configuration exactly —
-  edge endpoints, boxes, health flags and metadata all byte-equal
-  between :meth:`GeometryPlane.build` and :meth:`GeometryPlane.attach`;
-* the owning parent must never leak a ``/dev/shm`` segment, a worker
-  process or an executor thread, whatever kills the sweep — crashed or
-  hung workers, expired deadlines, a Ctrl-C in the supervisor loop, or
-  a chaos fault at the ``plane.attach`` site;
-* ``workers=N`` must be *indistinguishable* from the serial sweep, over
-  the plane or over region maps: identical outcome objects (relations,
-  percentages, paths, errors) and identical repair reports, with or
-  without fault injection.
+* the flattened plane must hold a configuration exactly — edge
+  endpoints, boxes and health flags as :meth:`GeometryPlane.build`
+  laid them out;
+* a sweep must never leak a ``/dev/shm`` segment, a worker process or
+  an executor thread, whatever kills it — crashed or hung workers,
+  expired deadlines, or a Ctrl-C in the supervisor loop;
+* the plane kernel must agree with the exact engine, serially and at
+  ``workers=N``, and ``workers=N`` must be *indistinguishable* from the
+  serial sweep, over the plane or over region maps: identical outcome
+  objects (relations, percentages, paths, errors) and identical repair
+  reports, with or without fault injection.
 
 CI replays this module under several ``REPRO_CHAOS_SEED`` values, like
 the rest of the chaos suite.
@@ -30,6 +30,7 @@ import pytest
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.core.batch import _ChunkSizer, batch_relations
 from repro.core.plane import GeometryPlane
+from repro.core.tiles import Tile
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import Region
@@ -116,6 +117,18 @@ def degenerate_star_configuration() -> Configuration:
     return Configuration.from_regions(regions)
 
 
+def nested_configuration() -> Configuration:
+    """Unit squares inside a large square and one outside it: the large
+    region covers an inner square's ``B`` tile without an edge crossing
+    it, which only the kernel's centre-of-``mbb`` test detects."""
+    regions = [AnnotatedRegion("outer", square(10.0))]
+    for index, (dx, dy) in enumerate(((2, 2), (6, 3), (4, 7), (12, 1))):
+        regions.append(
+            AnnotatedRegion(f"inner{index}", square().translated(dx, dy))
+        )
+    return Configuration.from_regions(regions)
+
+
 def _shm_segments():
     """Names of the live POSIX shared-memory segments (Linux)."""
     try:
@@ -163,101 +176,41 @@ class TestSegmentLayout:
     def test_build_round_trips_geometry_exactly(self, no_leaked_segments):
         configuration = star_configuration(9)
         all_ids, healthy, boxes = plane_inputs(configuration)
-        plane = GeometryPlane.build(
-            all_ids, healthy=healthy, boxes=boxes, broken={}
-        )
-        try:
-            assert plane.ids == tuple(all_ids)
-            assert plane.size == 9
-            assert plane.owner
-            for row, region_id in enumerate(all_ids):
-                start, stop = plane.edge_slice(row)
-                vertices = healthy[region_id].polygons[0].vertices
-                assert stop - start == len(vertices)
-                for offset, vertex in enumerate(vertices):
-                    # Exact float64 round-trip, not approximate.
-                    assert plane.x1[start + offset] == float(vertex.x)
-                    assert plane.y1[start + offset] == float(vertex.y)
-                box = boxes[region_id]
-                assert tuple(plane.boxes[row]) == (
-                    float(box.min_x),
-                    float(box.max_x),
-                    float(box.min_y),
-                    float(box.max_y),
-                )
-            dx, dy = plane.deltas()
-            assert (dx == plane.x2 - plane.x1).all()
-            assert (dy == plane.y2 - plane.y1).all()
-            assert list(plane.healthy_columns()) == list(range(9))
-        finally:
-            plane.destroy()
-
-    def test_attach_sees_identical_arrays_and_meta(
-        self, no_leaked_segments
-    ):
-        configuration = star_configuration(5)
-        all_ids, healthy, boxes = plane_inputs(configuration)
-        plane = GeometryPlane.build(
-            all_ids,
-            healthy=healthy,
-            boxes=boxes,
-            broken={"ghost": "unusable"},
-            repaired=("g1",),
-        )
-        try:
-            attached = GeometryPlane.attach(plane.name)
-            try:
-                assert not attached.owner
-                assert attached.ids == plane.ids
-                assert attached.broken == {"ghost": "unusable"}
-                assert attached.repaired == ("g1",)
-                assert (attached.offsets == plane.offsets).all()
-                assert bytes(attached.boxes.data) == bytes(
-                    plane.boxes.data
-                )
-                for section in ("x1", "y1", "x2", "y2"):
-                    assert (
-                        getattr(attached, section)
-                        == getattr(plane, section)
-                    ).all()
-            finally:
-                attached.close()
-        finally:
-            plane.destroy()
+        plane = GeometryPlane.build(all_ids, healthy=healthy, boxes=boxes)
+        assert plane.ids == tuple(all_ids)
+        assert plane.size == 9
+        for row, region_id in enumerate(all_ids):
+            start, stop = plane.edge_slice(row)
+            vertices = healthy[region_id].polygons[0].vertices
+            assert stop - start == len(vertices)
+            for offset, vertex in enumerate(vertices):
+                # Exact float64 round-trip, not approximate.
+                assert plane.x1[start + offset] == float(vertex.x)
+                assert plane.y1[start + offset] == float(vertex.y)
+            box = boxes[region_id]
+            assert tuple(plane.boxes[row]) == (
+                float(box.min_x),
+                float(box.max_x),
+                float(box.min_y),
+                float(box.max_y),
+            )
+        dx, dy = plane.deltas()
+        assert (dx == plane.x2 - plane.x1).all()
+        assert (dy == plane.y2 - plane.y1).all()
+        assert list(plane.healthy_columns()) == list(range(9))
 
     def test_broken_rows_have_no_edges_and_nan_boxes(
         self, no_leaked_segments
     ):
         configuration = grid_configuration(3)
         all_ids, healthy, boxes = plane_inputs(configuration)
-        del healthy["r1"], boxes["r1"]
-        plane = GeometryPlane.build(
-            all_ids,
-            healthy=healthy,
-            boxes=boxes,
-            broken={"r1": "self-intersecting"},
-        )
-        try:
-            start, stop = plane.edge_slice(1)
-            assert start == stop  # zero edges for the broken row
-            assert plane.health[1] == 0
-            assert all(value != value for value in plane.boxes[1])  # NaN
-            assert list(plane.healthy_columns()) == [0, 2]
-        finally:
-            plane.destroy()
-
-    def test_destroy_is_idempotent_and_frees_the_segment(self):
-        configuration = grid_configuration(2)
-        all_ids, healthy, boxes = plane_inputs(configuration)
-        plane = GeometryPlane.build(
-            all_ids, healthy=healthy, boxes=boxes, broken={}
-        )
-        name = plane.name
-        plane.destroy()
-        assert name not in _shm_segments()
-        plane.destroy()  # second call must not raise
-        with pytest.raises(FileNotFoundError):
-            GeometryPlane.attach(name)
+        del healthy["r1"], boxes["r1"]  # r1 is broken
+        plane = GeometryPlane.build(all_ids, healthy=healthy, boxes=boxes)
+        start, stop = plane.edge_slice(1)
+        assert start == stop  # zero edges for the broken row
+        assert plane.health[1] == 0
+        assert all(value != value for value in plane.boxes[1])  # NaN
+        assert list(plane.healthy_columns()) == [0, 2]
 
 
 class TestSegmentCleanup:
@@ -344,50 +297,6 @@ class TestSegmentCleanup:
             batch_relations(
                 grid_configuration(8), engine="sweep", workers=2
             )
-
-
-class TestAttachFaults:
-    """Chaos at the ``plane.attach`` site (the pool initializer)."""
-
-    @pytest.mark.parametrize("kind", ["raise", "kill"])
-    def test_first_generation_attach_failure_recovers(
-        self, kind, no_leaked_segments
-    ):
-        configuration = grid_configuration(6)
-        expected = batch_relations(configuration, engine="sweep").outcomes
-        with injecting(
-            # Only generation 0: the rebuilt pool must attach cleanly.
-            FaultSpec(
-                site="plane.attach", kind=kind, only={"generation": 0}
-            ),
-            seed=CHAOS_SEED,
-        ):
-            report = batch_relations(
-                configuration,
-                engine="sweep",
-                workers=2,
-                retry_policy=TWO_ATTEMPTS,
-            )
-        assert report.outcomes == expected
-        assert report.worker_failures >= 1
-
-    def test_persistent_attach_failure_falls_back_inline(
-        self, no_leaked_segments
-    ):
-        configuration = grid_configuration(4)
-        expected = batch_relations(configuration, engine="sweep").outcomes
-        with injecting(
-            FaultSpec(site="plane.attach", kind="raise"),
-            seed=CHAOS_SEED,
-        ):
-            report = batch_relations(
-                configuration,
-                engine="sweep",
-                workers=2,
-                retry_policy=TWO_ATTEMPTS,
-            )
-        assert report.outcomes == expected
-        assert report.inline_chunks >= 1
 
 
 class TestSerialParity:
@@ -479,7 +388,106 @@ class TestSerialParity:
         assert report.worker_failures >= 1
 
 
+#: The restriction of ``test_degenerate_map_identical_to_serial``.
+DEGENERATE_RESTRICTION = {
+    "primaries": ["g5", "broken-b", "bowtie-a", "broken-a", "g0"],
+    "references": ["broken-a", "g7", "bowtie-b", "g5", "broken-b", "g20"],
+}
+
+#: Percentage drift allowed against the exact engine, in percentage
+#: points (the engine-equivalence suites' relative tolerance of 1e-6).
+PERCENT_TOLERANCE = 100 * 1e-6
+
+
+class TestExactOracle:
+    """The plane kernel against the exact engine, serial and pooled.
+
+    Serial and ``workers=N`` sweeps of the sweep engine both run the
+    plane kernel, so their parity cannot catch a kernel defect; the
+    exact ``Fraction`` engine can.
+    """
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "degenerate",
+            "degenerate-self",
+            "restricted",
+            "restricted-self",
+            "star",
+            "nested",
+        ],
+    )
+    def test_sweep_engine_agrees_with_exact(self, case, no_leaked_segments):
+        if case == "star":
+            configuration, options = star_configuration(40), {}
+        elif case == "nested":
+            configuration, options = nested_configuration(), {}
+        else:
+            configuration = degenerate_star_configuration()
+            options = {"include_self": case.endswith("-self")}
+            if case.startswith("restricted"):
+                options.update(DEGENERATE_RESTRICTION)
+        exact = batch_relations(
+            configuration, engine="exact", percentages=True, **options
+        )
+        for workers in (None, 2):
+            report = batch_relations(
+                configuration,
+                engine="sweep",
+                percentages=True,
+                workers=workers,
+                **options,
+            )
+            assert len(report.outcomes) == len(exact.outcomes)
+            for got, want in zip(report.outcomes, exact.outcomes):
+                pair = (got.primary_id, got.reference_id, workers)
+                assert (
+                    got.primary_id,
+                    got.reference_id,
+                    got.status,
+                    got.error,
+                ) == (
+                    want.primary_id,
+                    want.reference_id,
+                    want.status,
+                    want.error,
+                ), pair
+                assert got.relation == want.relation, pair
+                if want.percentages is None:
+                    assert got.percentages is None, pair
+                    continue
+                for tile in Tile:
+                    drift = abs(
+                        float(got.percentages.percentage(tile))
+                        - float(want.percentages.percentage(tile))
+                    )
+                    assert drift <= PERCENT_TOLERANCE, (pair, tile, drift)
+
+
 class TestChunkSizer:
+    def test_serial_sweep_asks_the_kernel_one_chunk_at_a_time(
+        self, monkeypatch
+    ):
+        """A serial percentage sweep carves its inline run, so at most
+        one chunk's ``(rows, n, 9)`` area block is alive at a time."""
+        from repro.core.sweep import SweepEngine
+
+        asked = []
+        sweep_plane = SweepEngine.sweep_plane
+
+        def recording(self, plane, start, stop, **options):
+            asked.append(stop - start)
+            return sweep_plane(self, plane, start, stop, **options)
+
+        monkeypatch.setattr(SweepEngine, "sweep_plane", recording)
+        report = batch_relations(
+            star_configuration(40), engine="sweep", percentages=True
+        )
+        assert not report.error_outcomes()
+        assert sum(asked) == 40
+        assert len(asked) > 1 and max(asked) < 40
+
     def test_initial_size_splits_the_lead_window(self):
         # 8 rows over 2 workers: lead chunks of 4 — exactly two chunks.
         assert _ChunkSizer(8, 2).next_size(8) == 4

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.batch import batch_relations
 from repro.core.engine import create_engine
-from repro.core.fast import compute_cdr_fast_against_box, tile_areas_fast
+from repro.core.fast import compute_cdr_fast_against_box
 from repro.core.sweep import (
     BROADCAST_PATH,
     FAST_PATH,
@@ -24,12 +24,10 @@ from repro.core.sweep import (
     SweepEngine,
     compute_cdr_fast_many,
     single_tile_prune,
-    tile_areas_fast_many,
 )
 from repro.core.tiles import Tile
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.geometry.bbox import BoundingBox
-from repro.geometry.region import Region
 from repro.workloads.generators import (
     random_rectilinear_region,
     random_region_pair,
@@ -163,19 +161,6 @@ class TestBroadcastKernel:
             )
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_areas_match_the_per_box_kernel(self, seed):
-        rng = random.Random(seed)
-        primary = random_rectilinear_region(rng, 6)
-        boxes = self._boxes(rng)
-        many = tile_areas_fast_many(primary, boxes)
-        for reference_box, areas in zip(boxes, many):
-            expected = tile_areas_fast(primary, reference_box)
-            for tile in Tile:
-                assert abs(
-                    areas.get(tile, 0.0) - expected.get(tile, 0.0)
-                ) <= 1e-9 * max(1.0, expected.get(tile, 0.0))
-
-    @pytest.mark.parametrize("seed", SEEDS)
     def test_broadcast_agrees_with_exact(self, seed):
         rng = random.Random(seed)
         exact = create_engine("exact")
@@ -198,7 +183,6 @@ class TestBroadcastKernel:
         rng = random.Random(0)
         primary = random_rectilinear_region(rng, 3)
         assert compute_cdr_fast_many(primary, []) == []
-        assert tile_areas_fast_many(primary, []) == []
 
     @staticmethod
     def _boxes(rng):
@@ -222,17 +206,10 @@ class TestSweepEngineBulk:
         primary = random_rectilinear_region(rng, 5)
         boxes = TestBroadcastKernel._boxes(rng)
         relations = engine.relation_many(primary, boxes)
-        matrices = engine.percentages_many(primary, boxes)
-        assert len(relations) == len(matrices) == len(boxes)
-        for reference_box, (relation, path), (matrix, m_path) in zip(
-            boxes, relations, matrices
-        ):
+        assert len(relations) == len(boxes)
+        for reference_box, (relation, path) in zip(boxes, relations):
             assert path in (PRUNE_PATH, BROADCAST_PATH)
-            assert m_path in (PRUNE_PATH, BROADCAST_PATH)
             assert relation == per_pair.relation(primary, reference_box)
-            assert_matrices_close(
-                matrix, per_pair.percentages(primary, reference_box)
-            )
 
     def test_bulk_calls_count_per_box(self):
         """``stats.calls`` advances by the number of boxes served, so
@@ -246,10 +223,8 @@ class TestSweepEngineBulk:
         ]
         engine.relation_many(primary, boxes)
         assert engine.stats.calls["relation"] == 7
-        engine.percentages_many(primary, boxes)
-        assert engine.stats.calls["percentages"] == 7
         path_total = sum(engine.stats.path_counts.values())
-        assert path_total == 14
+        assert path_total == 7
 
     def test_path_counts_are_preseeded(self):
         engine = SweepEngine()

@@ -130,6 +130,37 @@ class TestSolve:
         assert not report
         assert report.unverified_candidates == 0
 
+    @staticmethod
+    def _needs_three_refinements():
+        """Consistent, but its first two complete refinements fail."""
+        network = DisjunctiveNetwork()
+        network.constrain("v0", "v1", "{S, SW}")
+        network.constrain("v0", "v2", "{S, SE}")
+        network.constrain("v1", "v2", "{E, SE}")
+        return network
+
+    def test_search_cut_is_unknown_not_inconsistent(self):
+        from repro import obs
+
+        assert self._needs_three_refinements().solve().examined == 3
+        with obs.tracing() as tracer:
+            report = self._needs_three_refinements().solve(max_candidates=1)
+        assert report.solution is None
+        assert report.max_candidates_exceeded
+        assert not report.deadline_exceeded
+        # The refinement that tripped the bound is counted, not checked.
+        assert report.examined == 2
+        (solve_span,) = [s for s in tracer.spans if s.name == "reasoning.solve"]
+        assert solve_span.attributes["outcome"] == "unknown"
+
+    def test_uncut_negative_answer_sets_no_cut_flag(self):
+        network = DisjunctiveNetwork()
+        network.constrain("a", "b", "{N}")
+        network.constrain("b", "a", "{N}")
+        report = network.solve(max_candidates=1)
+        assert not report
+        assert not report.max_candidates_exceeded
+
     def test_solution_respects_every_disjunction(self):
         network = DisjunctiveNetwork()
         network.constrain("a", "b", "{S, SW, W}")
