@@ -236,8 +236,10 @@ def _run_maintenance_tier_estimated(
     :data:`SAMPLE_PRIMARIES` evenly spaced primary rows, scaled by
     ``n / sample``.  The single-edit cost is measured for real via the
     same restricted pipeline: the edited region's row (``primaries``)
-    plus its column (``references``) — exactly the pairs
-    :meth:`RelationStore.refresh_matrix` recomputes after one edit.
+    plus its column (``references``).  Those are exactly the pairs
+    :meth:`RelationStore.refresh_matrix` recomputes after one edit, but
+    the store does not compute them this way: it refills them pair by
+    pair through :meth:`RelationStore.relation`.
     """
     ids = list(configuration.region_ids)
     count = len(ids)

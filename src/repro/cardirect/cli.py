@@ -480,6 +480,8 @@ def _cmd_relations(
             deadline=deadline,
             retries=retries,
             chunk_timeout=chunk_timeout,
+            primary=primary,
+            reference=reference,
         )
     configuration, _ = load_configuration(path)
     store = RelationStore(configuration, engine=engine)
@@ -505,6 +507,8 @@ def _cmd_relations_isolated(
     deadline: Optional[float] = None,
     retries: Optional[int] = None,
     chunk_timeout: Optional[float] = None,
+    primary: Optional[str] = None,
+    reference: Optional[str] = None,
 ) -> int:
     """Fault-isolated sweep: every answerable pair answered, per-pair
     error lines for the rest, exit code 4 when any pair failed and 5
@@ -513,11 +517,14 @@ def _cmd_relations_isolated(
     ``workers`` fans the sweep out over a process pool (see
     :func:`repro.core.batch.batch_relations`); the merged per-worker
     telemetry — including the sweep engine's prune/broadcast path
-    counts — lands in the ``--stats`` line."""
+    counts — lands in the ``--stats`` line.  ``primary`` / ``reference``
+    restrict the sweep to that row / column, as on the plain path."""
     ingestion_repairs = {}
     configuration, _ = load_configuration(
         path, mode="lenient", repairs=ingestion_repairs
     )
+    primaries = [configuration.get(primary).id] if primary else None
+    references = [configuration.get(reference).id] if reference else None
     store = RelationStore(configuration, engine=engine)
     retry_policy = None
     if retries is not None:
@@ -532,6 +539,8 @@ def _cmd_relations_isolated(
         deadline=deadline,
         retry_policy=retry_policy,
         chunk_timeout=chunk_timeout,
+        primaries=primaries,
+        references=references,
     )
     for repair_report in ingestion_repairs.values():
         print(repair_report.summary())

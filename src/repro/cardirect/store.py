@@ -3,17 +3,17 @@
 CARDIRECT stores "the direction relations among the different regions"
 alongside the geometry.  :class:`RelationStore` computes them on demand
 with Compute-CDR / Compute-CDR%, caches them, and lets edits invalidate
-exactly the affected entries.  Reference mbbs are cached too, so
-comparing ``n`` regions pairwise scans each region's edges ``O(n)``
-times rather than recomputing boxes from scratch.
+exactly the affected entries.  The all-pairs matrix is filled by one
+:func:`~repro.core.batch.batch_relations` call, the same sweep the
+batch pipeline runs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.batch import BatchReport
+    from repro.core.batch import BatchReport, PairOutcome
 
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.core.engine import Engine, EngineLike, EngineStats, resolve_engine
@@ -30,8 +30,8 @@ from repro.obs.metrics import current_metrics
 ON_ERROR_MODES = ("raise", "skip", "report")
 
 
-def _count_store_request(operation: str, result: str) -> None:
-    """One ``repro_store_requests_total{operation, result}`` increment.
+def _count_store_request(operation: str, result: str, count: int = 1) -> None:
+    """``count`` ``repro_store_requests_total{operation, result}`` increments.
 
     ``result`` is ``"hit"`` when the store's own cache answered and
     ``"miss"`` when the engine had to compute.  A no-op unless a metrics
@@ -42,7 +42,7 @@ def _count_store_request(operation: str, result: str) -> None:
         registry.counter(
             "repro_store_requests_total",
             "RelationStore lookups, by operation and cache outcome.",
-        ).inc(operation=operation, result=result)
+        ).inc(count, operation=operation, result=result)
 
 
 class RelationStore:
@@ -78,7 +78,6 @@ class RelationStore:
         self._configuration = configuration
         self._relations: Dict[Tuple[str, str], CardinalDirection] = {}
         self._percentages: Dict[Tuple[str, str], PercentageMatrix] = {}
-        self._boxes: Dict[str, BoundingBox] = {}
         self._topology: Dict[Tuple[str, str], RCC8] = {}
         self._distances: Dict[Tuple[str, str], float] = {}
         self._distance_frame = distance_frame
@@ -105,17 +104,11 @@ class RelationStore:
         """The engine's telemetry: call counts, timings, ladder paths."""
         return self._engine.stats
 
-    def _box(self, region_id: str) -> BoundingBox:
-        box = self._boxes.get(region_id)
-        if box is None:
-            box = self._configuration.get(region_id).region.bounding_box()
-            self._boxes[region_id] = box
-        return box
-
     def bounding_box(self, region_id: str) -> BoundingBox:
-        """The region's mbb (cached) — the grid every relation is read
-        against, and the anchor geometry index queries take."""
-        return self._box(region_id)
+        """The region's mbb (cached on the region) — the grid every
+        relation is read against, and the anchor geometry index queries
+        take."""
+        return self._configuration.get(region_id).region.bounding_box()
 
     @property
     def use_index(self) -> bool:
@@ -139,7 +132,7 @@ class RelationStore:
             boxes: Dict[str, BoundingBox] = {}
             for region_id in ids:
                 try:
-                    boxes[region_id] = self._box(region_id)
+                    boxes[region_id] = self.bounding_box(region_id)
                 except ReproError:
                     continue
             index = SpatialIndex(ids, boxes)
@@ -149,76 +142,69 @@ class RelationStore:
     def refresh_matrix(self) -> None:
         """Bring the maintained all-pairs relation matrix up to date.
 
-        First call (or after the configuration's id set changes)
-        computes every ordered pair, bulk row-at-a-time when the engine
-        offers ``relation_many``.  After a targeted
-        :meth:`invalidate` / :meth:`update_region`, only the dirty
-        ids' rows and columns are recomputed — ``O(n)`` engine work per
-        edited region instead of the ``O(n^2)`` drop-everything
-        rebuild.  :meth:`all_relations` calls this implicitly.
+        First call (or after the configuration's id set changes) fills
+        every ordered pair with one :meth:`_sweep`, then replays the
+        pairs it could not answer through :meth:`relation`, so the
+        first that fails again raises with its region context.  After a
+        targeted :meth:`invalidate` / :meth:`update_region`, only the
+        dirty ids' rows and columns are refilled, pair by pair through
+        :meth:`relation` — ``O(n)`` engine work per edited region
+        instead of the ``O(n^2)`` rebuild.  :meth:`all_relations` calls
+        this implicitly.
         """
         ids = tuple(self._configuration.region_ids)
         if self._matrix_ids != ids:
             # Full (re)build: the dirty set is subsumed — invalidation
             # already dropped the stale pairs, so they recompute here.
             self._dirty.clear()
-            for primary_id in ids:
-                self._refresh_row(primary_id, ids)
+            for outcome in self._sweep():
+                if not outcome.ok:
+                    self._refill(outcome.primary_id, outcome.reference_id)
             self._matrix_ids = ids
             return
-        if not self._dirty:
-            return
-        for region_id in sorted(self._dirty):
-            if region_id not in self._matrix_ids:
-                continue
-            self._refresh_row(region_id, ids)
-            self._refresh_column(region_id, ids)
+        for region_id in sorted(self._dirty.intersection(ids)):
+            for other_id in ids:
+                if other_id != region_id:
+                    self._refill(region_id, other_id)
+                    self._refill(other_id, region_id)
         self._dirty.clear()
 
-    def _refresh_row(self, primary_id: str, ids: Tuple[str, ...]) -> None:
-        """Fill every missing ``(primary_id, *)`` relation, bulk first."""
-        missing = [
-            reference_id
-            for reference_id in ids
-            if reference_id != primary_id
-            and (primary_id, reference_id) not in self._relations
-        ]
-        if not missing:
-            return
-        bulk = getattr(self._engine, "relation_many", None)
-        if bulk is not None:
-            try:
-                primary = self._configuration.get(primary_id).region
-                boxes = [self._box(reference_id) for reference_id in missing]
-                results = bulk(primary, boxes)
-            except ReproError:
-                # Replay per-pair below: same results where computable,
-                # and the legacy first-failing-pair error context.
-                pass
-            else:
-                for reference_id, (relation, _path) in zip(missing, results):
-                    self._relations[(primary_id, reference_id)] = relation
-                    _count_store_request("relation", "miss")
-                return
-        for reference_id in missing:
-            try:
-                self.relation(primary_id, reference_id)
-            except GeometryError as error:
-                error.with_context(region_id=primary_id)
-                raise
+    def _sweep(self, *, include_self: bool = False) -> List["PairOutcome"]:
+        """Every ordered pair's outcome from one ``batch_relations`` call.
 
-    def _refresh_column(self, reference_id: str, ids: Tuple[str, ...]) -> None:
-        """Fill every missing ``(*, reference_id)`` relation."""
-        for primary_id in ids:
-            if primary_id == reference_id:
-                continue
-            if (primary_id, reference_id) in self._relations:
-                continue
-            try:
-                self.relation(primary_id, reference_id)
-            except GeometryError as error:
-                error.with_context(region_id=primary_id)
-                raise
+        The sweep runs on the stored geometry — no validation, no
+        repair — through this store's own engine instance, so its work
+        lands in :attr:`engine_stats`.  Answered pairs are cached; when
+        the ambient deadline cut the sweep short, the cached pairs stay
+        and :class:`~repro.errors.DeadlineExceeded` is raised.
+        """
+        from repro.core.batch import batch_relations
+
+        report = batch_relations(
+            self._configuration,
+            include_self=include_self,
+            engine=self._engine,
+            validate=False,
+            repair=False,
+        )
+        answered = report.relations()
+        self._relations.update(answered)
+        _count_store_request("relation", "miss", len(answered))
+        if report.deadline_hit:
+            raise DeadlineExceeded(site="store.sweep", remaining=0.0)
+        return report.outcomes
+
+    def _refill(self, primary_id: str, reference_id: str) -> CardinalDirection:
+        """The pair's relation, computed through :meth:`relation` unless
+        cached, with the primary's id attached to a geometry error."""
+        cached = self._relations.get((primary_id, reference_id))
+        if cached is not None:
+            return cached
+        try:
+            return self.relation(primary_id, reference_id)
+        except GeometryError as error:
+            error.with_context(region_id=primary_id)
+            raise
 
     def relation(self, primary_id: str, reference_id: str) -> CardinalDirection:
         """``R`` with ``primary R reference`` (cached)."""
@@ -226,7 +212,7 @@ class RelationStore:
         cached = self._relations.get(key)
         if cached is None:
             primary = self._configuration.get(primary_id).region
-            cached = self._engine.relation(primary, self._box(reference_id))
+            cached = self._engine.relation(primary, self.bounding_box(reference_id))
             self._relations[key] = cached
             _count_store_request("relation", "miss")
         else:
@@ -240,7 +226,7 @@ class RelationStore:
         cached = self._percentages.get(key)
         if cached is None:
             primary = self._configuration.get(primary_id).region
-            cached = self._engine.percentages(primary, self._box(reference_id))
+            cached = self._engine.percentages(primary, self.bounding_box(reference_id))
             self._percentages[key] = cached
             _count_store_request("percentages", "miss")
         else:
@@ -267,18 +253,19 @@ class RelationStore:
           :meth:`batch_relations`.
 
         In the default ``"raise"`` mode the sweep is served from the
-        maintained matrix (:meth:`refresh_matrix`): the first run
-        computes it bulk row-at-a-time, later runs replay it with no
-        engine work at all, and edits re-enter only the touched
-        row/column.
+        maintained matrix (:meth:`refresh_matrix`): the first run fills
+        it with one ``batch_relations`` call, later runs replay it with
+        no engine work at all, and edits re-enter only the touched
+        row/column.  ``include_self`` and the other modes read one such
+        sweep of their own; a failed pair is replayed through
+        :meth:`relation` in ``"raise"`` mode only.  Every mode raises
+        :class:`~repro.errors.DeadlineExceeded` when the ambient
+        deadline cut the sweep short.
         """
         if on_error not in ON_ERROR_MODES:
             raise ValueError(
                 f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
             )
-        if on_error == "report":
-            from repro.core.batch import FAILED, OK, PairOutcome
-
         ids = self._configuration.region_ids
         if on_error == "raise" and not include_self:
             self.refresh_matrix()
@@ -293,37 +280,17 @@ class RelationStore:
                         relations[(primary_id, reference_id)],
                     )
             return
-        for primary_id in ids:
-            for reference_id in ids:
-                if primary_id == reference_id and not include_self:
-                    continue
-                try:
-                    relation = self.relation(primary_id, reference_id)
-                except DeadlineExceeded:
-                    # The compute budget is gone: stop the iteration
-                    # instead of converting every remaining pair into a
-                    # labelled failure (batch_relations is the API that
-                    # labels partial results under a deadline).
-                    raise
-                except ReproError as error:
-                    if isinstance(error, GeometryError):
-                        error.with_context(region_id=primary_id)
-                    if on_error == "raise":
-                        raise
-                    if on_error == "report":
-                        yield PairOutcome(
-                            primary_id,
-                            reference_id,
-                            FAILED,
-                            error=f"{type(error).__name__}: {error}",
-                        )
-                    continue
-                if on_error == "report":
-                    yield PairOutcome(
-                        primary_id, reference_id, OK, relation=relation
-                    )
-                else:
-                    yield primary_id, reference_id, relation
+        for outcome in self._sweep(include_self=include_self):
+            if on_error == "report":
+                yield outcome
+            elif outcome.ok:
+                yield outcome.primary_id, outcome.reference_id, outcome.relation
+            elif on_error == "raise":
+                yield (
+                    outcome.primary_id,
+                    outcome.reference_id,
+                    self._refill(outcome.primary_id, outcome.reference_id),
+                )
 
     def batch_relations(self, **kwargs) -> "BatchReport":
         """Fault-isolated pairwise sweep with repair and retry.
@@ -401,14 +368,12 @@ class RelationStore:
         if region_id is None:
             self._relations.clear()
             self._percentages.clear()
-            self._boxes.clear()
             self._topology.clear()
             self._distances.clear()
             self._matrix_ids = None
             self._dirty.clear()
             self._index = None
             return
-        self._boxes.pop(region_id, None)
         for cache in (
             self._relations,
             self._percentages,
@@ -422,7 +387,7 @@ class RelationStore:
             self._dirty.add(region_id)
         if self._index is not None:
             try:
-                box: Optional[BoundingBox] = self._box(region_id)
+                box: Optional[BoundingBox] = self.bounding_box(region_id)
             except (ReproError, KeyError):
                 box = None
             if not self._index.update(region_id, box):

@@ -13,8 +13,8 @@ This module is the single dispatch point.  An :class:`Engine` answers
 * :meth:`Engine.relation`    — ``R`` with ``primary R mbb(reference)``;
 * :meth:`Engine.percentages` — the percentage matrix of the same pair;
 
-both *against a precomputed reference mbb* (callers such as the relation
-store cache mbbs; an engine never rescans a reference region's edges).
+both *against a precomputed reference mbb* (a region scans its edges for
+its mbb once; an engine never rescans a reference region's edges).
 Every engine instance carries a uniform :class:`EngineStats` record —
 call counts, wall-clock totals (:func:`time.perf_counter`), ladder path
 counts, cache-assist counts — and an optional observer hook that streams
@@ -65,8 +65,8 @@ class EngineEvent:
     """One completed engine operation, as delivered to observers.
 
     ``count`` is the number of pairs the operation answered — 1 for the
-    per-pair protocol, the row length for the sweep engine's row calls
-    (``sweep_plane``, ``relation_many``).
+    per-pair protocol, the row length for each row of the sweep
+    engine's ``sweep_plane``.
     """
 
     engine: str
@@ -150,11 +150,11 @@ class EngineStats:
     ) -> None:
         """Account one bulk operation that answered ``count`` boxes.
 
-        Used by engines with many-box entry points (the sweep engine's
-        :meth:`~repro.core.sweep.SweepEngine.relation_many`): ``calls``
-        advances by ``count`` so pairs-per-second telemetry stays
-        comparable with per-pair engines, while ``seconds`` accrues the
-        single wall-clock measurement of the whole kernel invocation.
+        Used by engines that answer a whole row at once (the sweep
+        engine's :meth:`~repro.core.sweep.SweepEngine.sweep_plane`):
+        ``calls`` advances by ``count`` so pairs-per-second telemetry
+        stays comparable with per-pair engines, while ``seconds`` accrues
+        the single wall-clock measurement of the whole kernel invocation.
         """
         self.calls[operation] = self.calls.get(operation, 0) + count
         self.seconds[operation] = self.seconds.get(operation, 0.0) + seconds
@@ -247,7 +247,7 @@ class Engine:
     observer notification, so a backend is only ever the two hooks.
 
     The base class also owns a small **per-primary edge cache**: the
-    float64 edge arrays (and the mbb) of the last few primary regions,
+    float64 edge arrays of the last few primary regions,
     keyed by object identity.  Building those arrays is a Python loop
     over every vertex — the documented dominant cost of the numpy fast
     path — and an all-pairs sweep historically rebuilt them O(n) times
@@ -282,9 +282,9 @@ class Engine:
         self.stats = EngineStats()
         self._observer = observer
         self._edge_cache_size = edge_cache_size
-        # id(region) -> [region, arrays | None, box | None]; the strong
-        # region reference pins the id against reuse while cached.
-        self._edge_cache: "OrderedDict[int, list]" = OrderedDict()
+        # id(region) -> (region, arrays); the strong region reference
+        # pins the id against reuse while cached.
+        self._edge_cache: "OrderedDict[int, tuple]" = OrderedDict()
 
     # -- public API --------------------------------------------------
 
@@ -317,35 +317,21 @@ class Engine:
         and percentage calls of a pair; hits are recorded in
         ``stats.edge_cache_hits``.
         """
-        entry = self._edge_entry(primary)
-        if entry[1] is None:
-            from repro.core.fast import _edge_arrays
+        from repro.core.fast import _edge_arrays
 
-            entry[1] = _edge_arrays(primary)
-        return entry[1]
-
-    def primary_box(self, primary: Region) -> BoundingBox:
-        """``mbb(primary)``, cached alongside the edge arrays."""
-        entry = self._edge_entry(primary)
-        if entry[2] is None:
-            entry[2] = primary.bounding_box()
-        return entry[2]
-
-    def _edge_entry(self, primary: Region) -> list:
-        """The cache slot for ``primary`` (lazily-filled fields)."""
         if self._edge_cache_size <= 0:
-            return [primary, None, None]  # caching disabled: fresh slot
+            return _edge_arrays(primary)  # caching disabled
         key = id(primary)
         entry = self._edge_cache.get(key)
         if entry is not None and entry[0] is primary:
             self._edge_cache.move_to_end(key)
             self.stats.record_edge_cache_hit()
-            return entry
-        entry = [primary, None, None]
-        self._edge_cache[key] = entry
+            return entry[1]
+        arrays = _edge_arrays(primary)
+        self._edge_cache[key] = (primary, arrays)
         while len(self._edge_cache) > self._edge_cache_size:
             self._edge_cache.popitem(last=False)
-        return entry
+        return arrays
 
     # -- lifecycle ----------------------------------------------------
 

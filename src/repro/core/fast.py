@@ -175,32 +175,6 @@ def _band_intervals(
     return col_lo, col_hi, row_lo, row_hi, (x1, y1, dx, dy)
 
 
-def _box_lines(boxes) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The grid lines of many boxes as float64 arrays (m1, m2, l1, l2)."""
-    m1 = np.asarray([float(box.min_x) for box in boxes])
-    m2 = np.asarray([float(box.max_x) for box in boxes])
-    l1 = np.asarray([float(box.min_y) for box in boxes])
-    l2 = np.asarray([float(box.max_y) for box in boxes])
-    return m1, m2, l1, l2
-
-
-def _band_intervals_many(
-    region: Region,
-    boxes,
-    arrays: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-    """Column/row band intervals of one primary against many boxes.
-
-    Shapes are ``(n_edges, n_boxes, 3)`` — the broadcast counterpart of
-    :func:`_band_intervals` for the all-pairs sweep.
-    """
-    x1, y1, dx, dy = arrays if arrays is not None else _edge_arrays(region)
-    m1, m2, l1, l2 = _box_lines(boxes)
-    col_lo, col_hi = _axis_band_intervals_many(x1, dx, m1, m2, tie_sign=dy)
-    row_lo, row_hi = _axis_band_intervals_many(y1, dy, l1, l2, tie_sign=-dx)
-    return col_lo, col_hi, row_lo, row_hi, (x1, y1, dx, dy)
-
-
 def compute_cdr_fast(
     primary: RegionLike,
     reference: RegionLike,

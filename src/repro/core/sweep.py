@@ -16,7 +16,7 @@ optimisations on top of the engine layer's per-primary edge cache:
    arithmetic alone — exact over the native coordinate types, no edge
    scan, no float.  Boundary contact never prunes: the comparisons are
    strict, so grazing pairs take the full kernel;
-2. **broadcast kernels** — one primary is classified against *all*
+2. **broadcast rows** — one primary is classified against *all*
    remaining reference boxes in a single ``(n_edges, n_boxes, 3)``
    numpy invocation (:func:`repro.core.fast._axis_band_intervals_many`),
    amortising the per-call numpy dispatch overhead that dominates
@@ -24,15 +24,13 @@ optimisations on top of the engine layer's per-primary edge cache:
 3. **the plane sweep** — :meth:`SweepEngine.sweep_plane` (registry
    name ``"sweep"``) runs both over a row range of a
    :class:`~repro.core.plane.GeometryPlane`, the configuration
-   flattened into columnar arrays.  Every ``batch_relations`` sweep of
-   this engine goes through it (:mod:`repro.core.batch`): serially as
-   an inline run, under ``workers=N`` in each pool worker.  Path
+   flattened into columnar arrays.  It is the one broadcast kernel:
+   every ``batch_relations`` sweep of this engine goes through it
+   (:mod:`repro.core.batch`), serially as an inline run, under
+   ``workers=N`` in each pool worker, and so does a full fill of
+   :class:`~repro.cardirect.store.RelationStore`'s matrix.  Path
    telemetry distinguishes ``"prune"``, ``"broadcast"`` and ``"fast"``
    (the per-pair protocol) in ``EngineStats.path_counts``.
-
-The Region-facing row call :meth:`SweepEngine.relation_many` (over
-:func:`compute_cdr_fast_many`) serves
-:meth:`repro.cardirect.store.RelationStore.refresh_matrix`.
 
 Semantics: the prune path is exact; the kernel paths are float64,
 identical to :mod:`repro.core.fast` (the equivalence property tests
@@ -42,7 +40,7 @@ cross-validate every path against the exact reference).
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,16 +49,13 @@ from repro.core.fast import (
     _EPSILON,
     _TILE_GRID,
     _axis_band_intervals_many,
-    _band_intervals_many,
     compute_cdr_fast_against_box,
     tile_areas_fast,
 )
 from repro.core.matrix import PercentageMatrix
-from repro.core.relation import RELATIONS_BY_MASK, CardinalDirection
+from repro.core.relation import RELATIONS_BY_MASK
 from repro.core.tiles import Tile
 from repro.geometry.bbox import BoundingBox
-from repro.geometry.predicates import point_in_polygon
-from repro.geometry.region import Region
 from repro.resilience.deadline import current_deadline
 from repro.resilience.faults import fault_point
 
@@ -180,8 +175,7 @@ def _occupancy_many(
     """Per-box tile occupancy ``(k, 3, 3)`` from the band intervals.
 
     A tile is occupied when any edge has a positive-length parameter
-    piece in the column ∩ row interval.  Shared by the Region-facing
-    broadcast kernel and the plane sweep so the two can never drift.
+    piece in the column ∩ row interval.
     """
     k = col_lo.shape[1]
     occupied = np.zeros((k, 3, 3), dtype=bool)
@@ -191,44 +185,6 @@ def _occupancy_many(
             hi = np.minimum(col_hi[:, :, c], row_hi[:, :, r])
             occupied[:, c, r] = np.any(hi - lo > _EPSILON, axis=0)
     return occupied
-
-
-def compute_cdr_fast_many(
-    primary: Region,
-    boxes: Sequence[BoundingBox],
-    *,
-    arrays: Optional[Tuple[np.ndarray, ...]] = None,
-) -> List[CardinalDirection]:
-    """Vectorised Compute-CDR of one primary against many boxes.
-
-    One ``(n_edges, n_boxes, 3)`` kernel invocation classifies the
-    primary's edges against every reference box at once; per-box
-    results match :func:`repro.core.fast.compute_cdr_fast_against_box`
-    (both sit on the same generalised band kernel).
-    """
-    if not boxes:
-        return []
-    col_lo, col_hi, row_lo, row_hi, _ = _band_intervals_many(
-        primary, boxes, arrays
-    )
-    k = len(boxes)
-    occupied = _occupancy_many(col_lo, col_hi, row_lo, row_hi)
-    results: List[CardinalDirection] = []
-    for j, box in enumerate(boxes):
-        tiles = {
-            _TILE_GRID[c][r]
-            for c in range(3)
-            for r in range(3)
-            if occupied[j, c, r]
-        }
-        if Tile.B not in tiles:
-            # The B tile can be covered without any edge crossing it
-            # (reference box entirely inside the primary's interior).
-            centre = box.center
-            if any(point_in_polygon(centre, p) for p in primary.polygons):
-                tiles.add(Tile.B)
-        results.append(CardinalDirection(*tiles))
-    return results
 
 
 def _tile_area_columns(
@@ -321,8 +277,8 @@ def _points_in_region(
     The vectorised counterpart of running
     :func:`repro.geometry.predicates.point_in_ring` over every ring of
     a region — same float operations in the same order, so the plane
-    sweep's centre-of-``mbb`` test agrees bit for bit with the Region
-    kernels'.  Even–odd parity is accumulated over *all* edges at once
+    sweep's centre-of-``mbb`` test agrees bit for bit with the per-pair
+    kernel's.  Even–odd parity is accumulated over *all* edges at once
     instead of per polygon; for a validated region (pairwise-disjoint
     polygon interiors, so no polygon can sit inside another) the parity
     over the union of rings equals the per-polygon disjunction, and any
@@ -375,10 +331,9 @@ class SweepEngine(Engine):
     pruned columns are filtered out first, the rest go through a single
     broadcast kernel invocation per row (path ``"broadcast"``).  It is
     the path every ``batch_relations`` sweep of this engine takes,
-    serial or pooled.  :meth:`relation_many` is the Region-facing row
-    call the relation store's matrix refresh uses.  Both advance
-    ``stats.calls`` by the number of pairs served, so pairs-per-second
-    telemetry stays comparable with per-pair engines.
+    serial or pooled, the relation store's full matrix fill included.
+    It advances ``stats.calls`` by the number of pairs served, so
+    pairs-per-second telemetry stays comparable with per-pair engines.
     """
 
     name = "sweep"
@@ -401,7 +356,7 @@ class SweepEngine(Engine):
     # -- per-pair protocol -------------------------------------------
 
     def _relation(self, primary, box):
-        tile = single_tile_prune(self.primary_box(primary), box)
+        tile = single_tile_prune(primary.bounding_box(), box)
         if tile is not None:
             return RELATIONS_BY_MASK[1 << tile], PRUNE_PATH
         relation = compute_cdr_fast_against_box(
@@ -410,53 +365,13 @@ class SweepEngine(Engine):
         return relation, FAST_PATH
 
     def _percentages(self, primary, box):
-        tile = single_tile_prune(self.primary_box(primary), box)
+        tile = single_tile_prune(primary.bounding_box(), box)
         if tile is not None:
             return prune_matrix(tile), PRUNE_PATH
         matrix = PercentageMatrix.from_areas(
             tile_areas_fast(primary, box, arrays=self.edge_arrays(primary))
         )
         return matrix, FAST_PATH
-
-    # -- Region rows -------------------------------------------------
-
-    def relation_many(
-        self, primary: Region, boxes: Sequence[BoundingBox]
-    ) -> List[Tuple[CardinalDirection, Optional[str]]]:
-        """``primary R box`` for every box, in one broadcast pass.
-
-        Pruned boxes are answered from box arithmetic; the rest go
-        through one :func:`compute_cdr_fast_many` invocation.
-        """
-        if not boxes:
-            return []
-        start = time.perf_counter()
-        primary_box = self.primary_box(primary)
-        tiles = [single_tile_prune(primary_box, box) for box in boxes]
-        pending = [box for box, tile in zip(boxes, tiles) if tile is None]
-        broadcast = iter(
-            compute_cdr_fast_many(
-                primary, pending, arrays=self.edge_arrays(primary)
-            )
-            if pending
-            else []
-        )
-        results: List[Tuple[CardinalDirection, Optional[str]]] = [
-            (next(broadcast), BROADCAST_PATH)
-            if tile is None
-            else (RELATIONS_BY_MASK[1 << tile], PRUNE_PATH)
-            for tile in tiles
-        ]
-        pruned = len(boxes) - len(pending)
-        paths = {PRUNE_PATH: pruned, BROADCAST_PATH: len(pending)}
-        elapsed = time.perf_counter() - start
-        self.stats.record_bulk(
-            "relation", elapsed, len(boxes), {p: n for p, n in paths.items() if n}
-        )
-        self._emit_telemetry(
-            "relation", elapsed, BROADCAST_PATH, count=len(boxes), pruned=pruned
-        )
-        return results
 
     # -- plane protocol ----------------------------------------------
 
@@ -491,10 +406,10 @@ class SweepEngine(Engine):
         Returns ``(rows_done, masks, paths, areas)``.  ``rows_done <
         stop - start`` only when the ambient deadline expired — partial
         work is returned, never discarded; the caller labels the rest.
-        Prune decisions and stats accounting (``record_bulk`` per row
-        and operation) match :meth:`relation_many`; relations and
-        percentages are checked against the exact engine by the
-        equivalence suites.
+        Prune decisions match :func:`single_tile_prune`, and stats are
+        accounted with one ``record_bulk`` per row and operation;
+        relations and percentages are checked against the exact engine
+        by the equivalence suites.
 
         ``row_index`` / ``column_index`` restrict the sweep to an
         index-supplied subset: ``row_index`` is a list of global plane
@@ -600,7 +515,7 @@ class SweepEngine(Engine):
                 )
                 # The B tile can be covered without any edge crossing it
                 # (reference box entirely inside the primary's interior):
-                # test the box centre, exactly like the Region kernel.
+                # test the box centre, exactly like the per-pair kernel.
                 missing_b = np.nonzero((kernel_masks & _B_MASK) == 0)[0]
                 if missing_b.size:
                     centre_x = (m1[pending_at[missing_b]] + m2[pending_at[missing_b]]) / 2.0

@@ -18,7 +18,7 @@ individually valid, which is all the algorithms require.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.bbox import BoundingBox
@@ -30,7 +30,7 @@ from repro.geometry.segment import Segment
 class Region:
     """A region of class ``REG*``: a non-empty tuple of simple polygons."""
 
-    __slots__ = ("_polygons",)
+    __slots__ = ("_polygons", "_box")
 
     def __init__(self, polygons: Iterable[Polygon]) -> None:
         items = tuple(polygons)
@@ -40,6 +40,7 @@ class Region:
             if not isinstance(item, Polygon):
                 raise TypeError(f"expected Polygon, got {type(item).__name__}")
         self._polygons = items
+        self._box: Optional[BoundingBox] = None
 
     @classmethod
     def from_polygon(cls, polygon: Polygon) -> "Region":
@@ -75,10 +76,16 @@ class Region:
         return sum(polygon.edge_count() for polygon in self._polygons)
 
     def bounding_box(self) -> BoundingBox:
-        """``mbb(region)`` — the minimum bounding box of the whole region."""
-        box = self._polygons[0].bounding_box()
-        for polygon in self._polygons[1:]:
-            box = box.union(polygon.bounding_box())
+        """``mbb(region)`` — the minimum bounding box of the whole region.
+
+        Scanned once and kept: a region never changes after construction.
+        """
+        box = self._box
+        if box is None:
+            box = self._polygons[0].bounding_box()
+            for polygon in self._polygons[1:]:
+                box = box.union(polygon.bounding_box())
+            self._box = box
         return box
 
     def area(self) -> Coordinate:

@@ -50,6 +50,31 @@ class TestRelations:
         ]) == 0
         assert capsys.readouterr().out.strip() == "peloponnesos B:S:SW:W attica"
 
+    @pytest.mark.parametrize(
+        "isolating", [["--isolate-errors"], ["--workers", "2"]]
+    )
+    def test_isolated_path_keeps_the_restriction(
+        self, demo_xml, capsys, isolating
+    ):
+        restriction = ["--primary", "attica", "--reference", "crete"]
+        assert main(["relations", str(demo_xml), *restriction]) == 0
+        plain = capsys.readouterr().out.strip().splitlines()
+        assert plain == ["attica NW:N crete"]
+        assert main(
+            ["relations", str(demo_xml), *restriction, *isolating]
+        ) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == plain + ["1 pair(s) answered, 0 failed"]
+
+    def test_isolated_path_rejects_an_unknown_id(self, demo_xml, capsys):
+        assert main([
+            "relations", str(demo_xml), "--primary", "pelop",
+            "--isolate-errors",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no region with id 'pelop'" in captured.err
+
     def test_percentages(self, demo_xml, capsys):
         assert main([
             "relations", str(demo_xml), "--percentages",

@@ -86,26 +86,27 @@ class TestFastPathUsesCachedBoxes:
                     ) < 1e-8
 
     def test_fast_store_reuses_cached_reference_mbb(self, monkeypatch):
-        """The fast engine must consume the store's mbb cache instead of
-        rescanning the reference region's edges per call (the historic
-        cache defeat)."""
-        import repro.geometry.region as region_module
+        """The fast engine must consume the cached reference mbb instead
+        of rescanning the reference region's edges per call (the
+        historic cache defeat)."""
+        import repro.geometry.polygon as polygon_module
 
         configuration = build_configuration()
         store = RelationStore(configuration, engine="fast")
-        calls = {"count": 0}
-        original = region_module.Region.bounding_box
+        scanned = []
+        original = polygon_module.Polygon.bounding_box
 
         def counting(self):
-            calls["count"] += 1
+            scanned.append(self)
             return original(self)
 
-        monkeypatch.setattr(region_module.Region, "bounding_box", counting)
+        monkeypatch.setattr(polygon_module.Polygon, "bounding_box", counting)
         store.relation("r0", "r1")
         store.percentages("r0", "r1")
         store.relation("r2", "r1")
-        # One scan for r1's box (cached thereafter); none per call.
-        assert calls["count"] == 1
+        # One scan of r1's polygons for its box (cached thereafter);
+        # none per call.
+        assert scanned == list(configuration.get("r1").region.polygons)
 
 
 class TestBatchDelegation:

@@ -19,10 +19,11 @@ from repro.core.batch import (
     batch_relations,
 )
 from repro.core.compute import compute_cdr
-from repro.errors import GeometryError
+from repro.errors import DeadlineExceeded, GeometryError
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import Region
+from repro.resilience.deadline import deadline_scope
 
 
 def ring(*pts) -> Polygon:
@@ -184,16 +185,19 @@ class TestStoreIntegration:
         assert all(len(t) == 3 for t in triples)
 
     def test_all_relations_skip_and_report(self, monkeypatch):
-        store = RelationStore(degenerate_configuration())
+        configuration = degenerate_configuration()
+        store = RelationStore(configuration)
+        engine = store.engine
+        region_c = configuration.get("c").region
+        box_c = region_c.bounding_box()
+        original = engine._relation
 
-        original = RelationStore.relation
-
-        def flaky(self, primary_id, reference_id):
-            if "c" in (primary_id, reference_id):
+        def flaky(primary, box):
+            if primary is region_c or box == box_c:
                 raise GeometryError("bad region")
-            return original(self, primary_id, reference_id)
+            return original(primary, box)
 
-        monkeypatch.setattr(RelationStore, "relation", flaky)
+        monkeypatch.setattr(engine, "_relation", flaky)
         assert len(list(store.all_relations(on_error="skip"))) == 2
         outcomes = list(store.all_relations(on_error="report"))
         assert len(outcomes) == 6
@@ -205,12 +209,21 @@ class TestStoreIntegration:
     def test_all_relations_raise_mode_attaches_context(self, monkeypatch):
         store = RelationStore(degenerate_configuration())
 
-        def always_fails(self, primary_id, reference_id):
+        def always_fails(primary, box):
             raise GeometryError("boom")
 
-        monkeypatch.setattr(RelationStore, "relation", always_fails)
+        monkeypatch.setattr(store.engine, "_relation", always_fails)
         with pytest.raises(GeometryError, match="region 'a'"):
             list(store.all_relations())
+
+    @pytest.mark.parametrize("engine", ["exact", "sweep"])
+    @pytest.mark.parametrize("on_error", ["raise", "skip", "report"])
+    def test_every_mode_raises_past_the_deadline(self, on_error, engine):
+        """A sweep cut short is an error in every mode, never a short
+        answer or a run of ``DEADLINE`` outcomes."""
+        store = RelationStore(degenerate_configuration(), engine=engine)
+        with deadline_scope(0.0), pytest.raises(DeadlineExceeded):
+            list(store.all_relations(on_error=on_error))
 
     def test_invalid_on_error_rejected(self):
         store = RelationStore(degenerate_configuration())

@@ -311,6 +311,27 @@ class TestCorruptIngestion:
         assert len(report.outcomes) == 6
 
 
+class TestStoreFillUnderFaults:
+    """A store's full matrix fill is one ``batch_relations`` call, so the
+    batch fault sites reach it; pairs the batch could not answer are
+    replayed through ``relation()``, outside those sites."""
+
+    @pytest.mark.parametrize(
+        "engine, site", [("exact", "batch.pair"), ("sweep", "batch.row")]
+    )
+    def test_raising_faults_leave_the_matrix_intact(self, engine, site):
+        configuration = grid_configuration(12)
+        expected = list(
+            RelationStore(configuration, engine=engine).all_relations()
+        )
+        with injecting(
+            FaultSpec(site=site, kind="raise", rate=0.3), seed=CHAOS_SEED
+        ) as injector:
+            store = RelationStore(configuration, engine=engine)
+            assert list(store.all_relations()) == expected
+        assert injector.fired
+
+
 class TestObservabilityUnderFaults:
     """Worker telemetry must survive injected faults: spans, metrics and
     events from chunks that completed (including retried dispatches of a

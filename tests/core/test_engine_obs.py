@@ -3,6 +3,8 @@ and the span/metric telemetry engines feed into installed sinks."""
 
 import pytest
 
+from repro.cardirect.model import AnnotatedRegion, Configuration
+from repro.core.batch import batch_relations
 from repro.core.engine import EngineEvent, EngineStats, create_engine
 from repro.geometry.region import Region
 from repro.obs import (
@@ -27,6 +29,14 @@ def _clean_sinks():
 def square(x0=0, y0=0, size=1) -> Region:
     return Region.from_coordinates(
         [[(x0, y0), (x0, y0 + size), (x0 + size, y0 + size), (x0 + size, y0)]]
+    )
+
+
+def one_row_configuration() -> Configuration:
+    """Primary ``p`` and four references: one sweep-plane row of 4."""
+    return Configuration.from_regions(
+        [AnnotatedRegion("p", square(1, 1))]
+        + [AnnotatedRegion(f"r{i}", square(i * 5, 0)) for i in range(4)]
     )
 
 
@@ -126,10 +136,7 @@ class TestEngineStatsEdgeCases:
     def test_bulk_event_count_reaches_observers(self):
         events = []
         engine = create_engine("sweep", observer=events.append)
-        references = [square(i * 5, 0) for i in range(4)]
-        engine.relation_many(
-            square(1, 1), [r.bounding_box() for r in references]
-        )
+        batch_relations(one_row_configuration(), engine=engine, primaries=["p"])
         assert sum(e.count for e in events) == 4
         assert all(isinstance(e, EngineEvent) for e in events)
         assert any("x" in str(e) for e in events if e.count > 1)
@@ -159,14 +166,14 @@ class TestEngineTelemetry:
 
     def test_bulk_sweep_span_carries_count(self):
         engine = create_engine("sweep")
-        references = [square(i * 5, 0).bounding_box() for i in range(4)]
         with tracing() as tracer:
-            engine.relation_many(square(1, 1), references)
-        bulk = [s for s in tracer.spans if s.attributes.get("count", 1) > 1]
+            batch_relations(
+                one_row_configuration(), engine=engine, primaries=["p"]
+            )
+        spans = [s for s in tracer.spans if s.name.startswith("engine.")]
+        bulk = [s for s in spans if s.attributes.get("count", 1) > 1]
         assert bulk, "expected a bulk engine span"
-        assert sum(
-            s.attributes.get("count", 1) for s in tracer.spans
-        ) == 4
+        assert sum(s.attributes.get("count", 1) for s in spans) == 4
 
     def test_disabled_sinks_cost_nothing_visible(self):
         engine = create_engine("exact")

@@ -1,8 +1,8 @@
-"""Property tests for the sweep layer: prune, broadcast, bulk, workers.
+"""Property tests for the sweep layer: prune, per-pair, plane, workers.
 
 The acceptance bar of the sweep engine is *equivalence*: every one of
-its paths — the exact mbb single-tile prune, the broadcast kernel rows,
-the per-pair fast fallback, and the parallel executor — must reproduce
+its paths — the exact mbb single-tile prune, the per-pair fast kernel,
+the plane kernel's broadcast rows, and the parallel executor — must reproduce
 the exact reference engine's answers on the seeded workloads.  The
 prune gets special adversarial attention: it must never fire on
 boundary contact (a primary mbb touching a grid line of the reference
@@ -16,13 +16,11 @@ import pytest
 
 from repro.core.batch import batch_relations
 from repro.core.engine import create_engine
-from repro.core.fast import compute_cdr_fast_against_box
 from repro.core.sweep import (
     BROADCAST_PATH,
     FAST_PATH,
     PRUNE_PATH,
     SweepEngine,
-    compute_cdr_fast_many,
     single_tile_prune,
 )
 from repro.core.tiles import Tile
@@ -148,83 +146,32 @@ class TestSingleTilePrune:
         assert sweep.stats.path_counts[FAST_PATH] > 0
 
 
-class TestBroadcastKernel:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_relations_match_the_per_box_kernel(self, seed):
-        rng = random.Random(seed)
-        primary = random_rectilinear_region(rng, 6)
-        boxes = self._boxes(rng)
-        many = compute_cdr_fast_many(primary, boxes)
-        for reference_box, relation in zip(boxes, many):
-            assert relation == compute_cdr_fast_against_box(
-                primary, reference_box
-            )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_broadcast_agrees_with_exact(self, seed):
-        rng = random.Random(seed)
-        exact = create_engine("exact")
-        primary = random_rectilinear_region(rng, 6)
-        boxes = self._boxes(rng)
-        relations = compute_cdr_fast_many(primary, boxes)
-        matrices = [
-            create_engine("sweep").percentages(primary, reference_box)
-            for reference_box in boxes
-        ]
-        for reference_box, relation, matrix in zip(
-            boxes, relations, matrices
-        ):
-            assert relation == exact.relation(primary, reference_box)
-            assert_matrices_close(
-                matrix, exact.percentages(primary, reference_box)
-            )
-
-    def test_empty_box_list(self):
-        rng = random.Random(0)
-        primary = random_rectilinear_region(rng, 3)
-        assert compute_cdr_fast_many(primary, []) == []
-
-    @staticmethod
-    def _boxes(rng):
-        """Overlapping, disjoint, containing and contained references."""
-        boxes = [
-            random_rectilinear_region(rng, 4).bounding_box()
-            for _ in range(6)
-        ]
-        boxes.append(box(-500, -500, 500, 500))  # contains every primary
-        boxes.append(box(-1, -1, 1, 1))  # small, near the middle
-        boxes.append(box(300, 300, 310, 310))  # far away: single tile
-        return boxes
+def adversarial_boxes(rng):
+    """Overlapping, disjoint, containing and contained references."""
+    boxes = [
+        random_rectilinear_region(rng, 4).bounding_box() for _ in range(6)
+    ]
+    boxes.append(box(-500, -500, 500, 500))  # contains every primary
+    boxes.append(box(-1, -1, 1, 1))  # small, near the middle
+    boxes.append(box(300, 300, 310, 310))  # far away: single tile
+    return boxes
 
 
 class TestSweepEngineBulk:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_bulk_rows_match_per_pair_calls(self, seed):
+    def test_per_pair_calls_agree_with_exact(self, seed):
         rng = random.Random(seed)
-        engine = create_engine("sweep")
-        per_pair = create_engine("sweep")
-        primary = random_rectilinear_region(rng, 5)
-        boxes = TestBroadcastKernel._boxes(rng)
-        relations = engine.relation_many(primary, boxes)
-        assert len(relations) == len(boxes)
-        for reference_box, (relation, path) in zip(boxes, relations):
-            assert path in (PRUNE_PATH, BROADCAST_PATH)
-            assert relation == per_pair.relation(primary, reference_box)
-
-    def test_bulk_calls_count_per_box(self):
-        """``stats.calls`` advances by the number of boxes served, so
-        pairs/sec telemetry stays comparable with per-pair engines."""
-        rng = random.Random(1)
-        engine = create_engine("sweep")
-        primary = random_rectilinear_region(rng, 5)
-        boxes = [
-            random_rectilinear_region(rng, 4).bounding_box()
-            for _ in range(7)
-        ]
-        engine.relation_many(primary, boxes)
-        assert engine.stats.calls["relation"] == 7
-        path_total = sum(engine.stats.path_counts.values())
-        assert path_total == 7
+        exact = create_engine("exact")
+        sweep = create_engine("sweep")
+        primary = random_rectilinear_region(rng, 6)
+        for reference_box in adversarial_boxes(rng):
+            relation, path = sweep.relation_with_path(primary, reference_box)
+            assert path in (PRUNE_PATH, FAST_PATH)
+            assert relation == exact.relation(primary, reference_box)
+            assert_matrices_close(
+                sweep.percentages(primary, reference_box),
+                exact.percentages(primary, reference_box),
+            )
 
     def test_path_counts_are_preseeded(self):
         engine = SweepEngine()
