@@ -80,6 +80,11 @@ class RelationStore:
         self._percentages: Dict[Tuple[str, str], PercentageMatrix] = {}
         self._topology: Dict[Tuple[str, str], RCC8] = {}
         self._distances: Dict[Tuple[str, str], float] = {}
+        self._caches = (self._relations, self._percentages,
+                        self._topology, self._distances)
+        # Every id some cache key names, a removed region's included, so
+        # invalidating one id pops O(n) candidate keys.
+        self._cached_ids: Set[str] = set()
         self._distance_frame = distance_frame
         self._engine = resolve_engine("exact" if engine is None else engine)
         self._use_index = bool(use_index)
@@ -189,6 +194,7 @@ class RelationStore:
         )
         answered = report.relations()
         self._relations.update(answered)
+        self._cached_ids.update(self._configuration.region_ids)
         _count_store_request("relation", "miss", len(answered))
         if report.deadline_hit:
             raise DeadlineExceeded(site="store.sweep", remaining=0.0)
@@ -214,6 +220,7 @@ class RelationStore:
             primary = self._configuration.get(primary_id).region
             cached = self._engine.relation(primary, self.bounding_box(reference_id))
             self._relations[key] = cached
+            self._cached_ids.update(key)
             _count_store_request("relation", "miss")
         else:
             self._engine.stats.record_cache_assist()
@@ -228,6 +235,7 @@ class RelationStore:
             primary = self._configuration.get(primary_id).region
             cached = self._engine.percentages(primary, self.bounding_box(reference_id))
             self._percentages[key] = cached
+            self._cached_ids.update(key)
             _count_store_request("percentages", "miss")
         else:
             self._engine.stats.record_cache_assist()
@@ -334,6 +342,7 @@ class RelationStore:
             )
             self._topology[key] = cached
             self._topology[(reference_id, primary_id)] = cached.inverse()
+            self._cached_ids.update(key)
         return cached
 
     def distance(self, primary_id: str, reference_id: str) -> float:
@@ -347,6 +356,7 @@ class RelationStore:
             )
             self._distances[key] = cached
             self._distances[(reference_id, primary_id)] = cached
+            self._cached_ids.update(key)
         return cached
 
     def qualitative_distance(self, primary_id: str, reference_id: str) -> str:
@@ -360,29 +370,26 @@ class RelationStore:
 
         Call after editing a region's geometry via
         :meth:`Configuration.replace_region`.  A targeted invalidation
-        marks only that region's matrix row/column dirty (recomputed on
+        pops the keys pairing ``region_id`` with each id the caches name
+        (``O(n)`` lookups, not a scan of every cached pair), marks only
+        that region's matrix row/column dirty (recomputed on
         the next :meth:`refresh_matrix` / :meth:`all_relations`) and
         re-points the spatial index row in place; the no-argument form
         drops the matrix and the index wholesale.
         """
         if region_id is None:
-            self._relations.clear()
-            self._percentages.clear()
-            self._topology.clear()
-            self._distances.clear()
+            for cache in self._caches:
+                cache.clear()
+            self._cached_ids.clear()
             self._matrix_ids = None
             self._dirty.clear()
             self._index = None
             return
-        for cache in (
-            self._relations,
-            self._percentages,
-            self._topology,
-            self._distances,
-        ):
-            stale = [key for key in cache if region_id in key]
-            for key in stale:
-                del cache[key]
+        for other_id in self._cached_ids:
+            for key in ((region_id, other_id), (other_id, region_id)):
+                for cache in self._caches:
+                    cache.pop(key, None)
+        self._cached_ids.discard(region_id)
         if self._matrix_ids is not None:
             self._dirty.add(region_id)
         if self._index is not None:

@@ -58,6 +58,7 @@ registry.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from collections import Counter
@@ -540,9 +541,9 @@ def _sweep_rows(
 #: (IPC round-trip, task bookkeeping) dominates the row work.
 _MIN_CHUNK_ROWS = 4
 
-#: How many chunks per worker the initial carve aims for, so the sizer
-#: gets latency observations early without serialising the sweep.
-_CHUNK_LEAD = 4
+#: How many chunks per worker the initial carve aims for: an early latency
+#: observation, at one IPC round trip per chunk a worker waits through.
+_CHUNK_LEAD = 2
 
 #: Target wall-clock per chunk once a throughput estimate exists: long
 #: enough to amortise dispatch overhead, short enough that a lost chunk
@@ -559,10 +560,13 @@ class _ChunkSizer:
     converges on whatever row count currently takes about
     :data:`_TARGET_CHUNK_SECONDS` per chunk, smoothing the observed
     rows-per-second with an even EWMA so one outlier chunk cannot whip
-    the size around.
+    the size around.  No chunk is wider than an even split of the rows
+    still to carve (floored at :data:`_MIN_CHUNK_ROWS`), so the last
+    chunks end together rather than one wide chunk idling the others.
     """
 
     def __init__(self, total_rows: int, workers: int) -> None:
+        self._workers = workers
         self._ceiling = max(1, -(-total_rows // workers))
         lead = max(_MIN_CHUNK_ROWS, -(-total_rows // (workers * _CHUNK_LEAD)))
         self._size = max(1, min(lead, self._ceiling))
@@ -570,7 +574,8 @@ class _ChunkSizer:
 
     def next_size(self, remaining: int) -> int:
         """Rows to carve into the next chunk."""
-        return max(1, min(self._size, remaining))
+        even = max(_MIN_CHUNK_ROWS, -(-remaining // self._workers))
+        return max(1, min(self._size, even, remaining))
 
     def observe(self, rows: int, seconds: float) -> None:
         """Fold one completed chunk's latency into the size estimate."""
@@ -621,13 +626,15 @@ def _pool_init(
     A plane engine's worker receives the parent's ``plane`` and sweeps
     the ``(row_index, column_index)`` ``restriction`` (see
     :func:`batch_relations`'s ``primaries`` / ``references``; ``None``
-    entries mean every row / column).
-    Any other engine's worker receives ``regions`` instead — the
-    restricted primary / reference id lists, the validated ``healthy``
-    / ``boxes`` / ``repairs`` / ``broken`` maps, the ``repair`` flag
-    and the retry policy.  Under fork the workers inherit either one;
-    under spawn or forkserver each worker unpickles one copy.
+    entries mean every row / column).  Any other engine's worker
+    receives ``regions`` instead — the restricted primary / reference
+    id lists, the validated ``healthy`` / ``boxes`` / ``repairs`` /
+    ``broken`` maps, the ``repair`` flag and the retry policy.  Under
+    fork the workers inherit either one; under spawn or forkserver each
+    worker unpickles one copy.  What a worker starts with is frozen out
+    of its garbage collections, which would copy every page it sits on.
     """
+    gc.freeze()
     _WORKER.update(
         engine_spec=engine_spec,
         plane=plane,
@@ -668,7 +675,8 @@ def _region_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
     installed maps so every chunk starts from the parent's validated
     state whichever worker serves it.  Returns the whole chunk as done
     (pairs past the deadline come back labelled ``DEADLINE``) with its
-    outcomes and the repairs made here, for the parent to merge.
+    outcomes as plain tuples (a ``PairOutcome`` costs a Python call per
+    pickle and unpickle) and the repairs made here, for the parent.
     """
     (
         primary_ids,
@@ -699,7 +707,7 @@ def _region_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
         for region_id, report in chunk_repairs.items()
         if region_id not in repairs
     }
-    return task["stop"] - task["start"], (outcomes, new_repairs)
+    return task["stop"] - task["start"], ([tuple(o) for o in outcomes], new_repairs)
 
 
 def _pool_chunk(task: dict) -> tuple:
@@ -1176,7 +1184,8 @@ def _supervise_pool(
         if rows_done > 0:
             sizer.observe(rows_done, cpu_seconds)
             if sweep.plane is None:
-                chunk_outcomes, new_repairs = block
+                plain, new_repairs = block
+                chunk_outcomes = list(map(PairOutcome._make, plain))
                 sweep.repairs.update(new_repairs)
             else:
                 chunk_outcomes = sweep.plane_rows(chunk.start, rows_done, block)

@@ -15,18 +15,22 @@ The algorithm:
    polygon of ``a`` — the one case with no witnessing edge, which can only
    happen for the central tile because the eight outer tiles are
    unbounded and a bounded polygon covering part of them always has
-   boundary there.
+   boundary there.  The test runs only when that centre lies in the
+   closed ``mbb(a)``: a point outside it is in no polygon of ``a``.
+
+The answer is the interned relation of the ORed tile bitmask.  Nothing
+here prunes, so this stays the exact engine's oracle.
 """
 
 from __future__ import annotations
 
-from typing import Set, Union
+from typing import Union, cast
 
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.polygon import Polygon
 from repro.geometry.predicates import point_in_polygon
 from repro.geometry.region import Region
-from repro.core.relation import CardinalDirection
+from repro.core.relation import RELATIONS_BY_MASK, CardinalDirection
 from repro.core.split import iter_divided_edges
 from repro.core.tiles import Tile
 
@@ -67,12 +71,16 @@ def compute_cdr_against_box(
 
     Useful when many primary regions are compared against one reference
     (e.g. the CARDIRECT relation store), saving the repeated mbb scan.
+    Step 4's centre test runs only when no piece set bit ``B`` and
+    ``mbb(primary)`` holds the centre; the result is interned.
     """
-    tiles: Set[Tile] = set()
+    mask = 0
     for classified in iter_divided_edges(primary, box):
-        tiles.add(classified.tile)
-    if Tile.B not in tiles:
+        mask |= 1 << classified.tile
+    if not mask & 1 << Tile.B:
         centre = box.center
-        if any(point_in_polygon(centre, p) for p in primary.polygons):
-            tiles.add(Tile.B)
-    return CardinalDirection(*tiles)
+        if primary.bounding_box().contains_point(centre) and any(
+            point_in_polygon(centre, p) for p in primary.polygons
+        ):
+            mask |= 1 << Tile.B
+    return cast(CardinalDirection, RELATIONS_BY_MASK[mask])  # mask >= 1

@@ -44,12 +44,14 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.compute import compute_cdr_against_box
 from repro.core.matrix import PercentageMatrix
 from repro.core.percentages import compute_cdr_percentages_against_box
-from repro.core.relation import CardinalDirection
+from repro.core.relation import RELATIONS_BY_MASK, CardinalDirection
+from repro.core.tiles import Tile, single_tile_prune
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.region import Region
 from repro.obs.metrics import current_metrics
@@ -463,16 +465,39 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 
+#: Per tile, the ``Fraction`` cells Compute-CDR% gives a pair pruned to it.
+_EXACT_PRUNE_MATRICES: Dict[Tile, PercentageMatrix] = {
+    tile: PercentageMatrix({t: Fraction(100 if t is tile else 0) for t in Tile})
+    for tile in Tile
+}
+
+
+def _is_rational(primary: Region, box: BoundingBox) -> bool:
+    """Whether all coordinates are int / ``Fraction`` (``Fraction`` cells)."""
+    values = [box.min_x, box.min_y, box.max_x, box.max_y]
+    for polygon in primary.polygons:
+        values.extend(c for vertex in polygon.vertices for c in (vertex.x, vertex.y))
+    return all(isinstance(value, (int, Fraction)) for value in values)
+
+
 class ExactEngine(Engine):
-    """The reference implementation: Compute-CDR / Compute-CDR% (exact
-    over Python's numeric tower, one edge at a time)."""
+    """The reference implementation: Compute-CDR / Compute-CDR%, exact
+    over Python's numeric tower.  A pair :func:`~repro.core.tiles.single_tile_prune`
+    decides gets the edge path's answer from the boxes, except float
+    percentages: their one cell, ``100.0 * v / v``, is not always 100.0."""
 
     name = "exact"
 
     def _relation(self, primary, box):
+        tile = single_tile_prune(primary.bounding_box(), box)
+        if tile is not None:
+            return RELATIONS_BY_MASK[1 << tile], None
         return compute_cdr_against_box(primary, box), None
 
     def _percentages(self, primary, box):
+        tile = single_tile_prune(primary.bounding_box(), box)
+        if tile is not None and _is_rational(primary, box):
+            return _EXACT_PRUNE_MATRICES[tile], None
         return compute_cdr_percentages_against_box(primary, box), None
 
 

@@ -4,9 +4,9 @@ The query evaluator historically scanned every candidate pair — ``a
 {N, NW:N} b`` with ``b`` bound meant one engine call per region in the
 configuration.  But a direction constraint over a *known* reference box
 is a pure box-arithmetic question about the candidate's mbb, the same
-observation behind the sweep engine's single-tile prune
-(:func:`repro.core.sweep.single_tile_prune`), lifted here from the
-all-pairs sweep into a standing, queryable structure.
+observation behind the single-tile prune the exact and sweep engines
+run (:func:`repro.core.tiles.single_tile_prune`), lifted here from the
+per-pair test into a standing, queryable structure.
 
 :class:`SpatialIndex` packs every region's mbb — the four scalars
 ``(min_x, max_x, min_y, max_y)``, exactly the columnar row layout the
@@ -28,7 +28,7 @@ Two query families are served, both derived from Definition 1's tiling:
   reference (``b R x``).
 * :meth:`SpatialIndex.tile_candidates` — per non-``B`` tile of a
   reference box, the ids whose mbb lies *strictly* inside that tile:
-  exactly the pairs :func:`~repro.core.sweep.single_tile_prune`
+  exactly the pairs :func:`~repro.core.tiles.single_tile_prune`
   answers, with the same strict-boundary semantics (boundary contact
   never qualifies, ``B`` never qualifies).
 
@@ -589,7 +589,7 @@ class SpatialIndex:
         self, box: BoundingBox, *, role: str = "primary"
     ) -> Dict[Tile, Tuple[str, ...]]:
         """Per non-``B`` tile, the ids *strictly* inside it — the
-        pairs :func:`~repro.core.sweep.single_tile_prune` prunes, with
+        pairs :func:`~repro.core.tiles.single_tile_prune` prunes, with
         identical strict-boundary semantics: boundary contact never
         qualifies, and ``B`` is absent by construction.  Every listed
         id's relation (in the given ``role``) is exactly the

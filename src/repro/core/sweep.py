@@ -9,13 +9,13 @@ historical path was a Python pair-by-pair loop that rebuilt each
 primary's edge arrays O(n) times per sweep.  This module stacks three
 optimisations on top of the engine layer's per-primary edge cache:
 
-1. **mbb single-tile prune** — when ``mbb(primary)`` lies *strictly*
-   inside one non-``B`` tile of ``mbb(reference)``, the whole primary
-   lies in that tile, so the single-tile relation (and a 100 %
-   :class:`~repro.core.matrix.PercentageMatrix`) follows from box
-   arithmetic alone — exact over the native coordinate types, no edge
-   scan, no float.  Boundary contact never prunes: the comparisons are
-   strict, so grazing pairs take the full kernel;
+1. **mbb single-tile prune** (:func:`repro.core.tiles.single_tile_prune`)
+   — when ``mbb(primary)`` lies *strictly* inside one non-``B`` tile of
+   ``mbb(reference)``, the whole primary lies there, so the single-tile
+   relation (and a 100 % :class:`~repro.core.matrix.PercentageMatrix`)
+   follows from box arithmetic alone — exact over the native coordinate
+   types, no edge scan, no float.  Boundary contact never prunes: the
+   comparisons are strict, so grazing pairs take the full kernel;
 2. **broadcast rows** — one primary is classified against *all*
    remaining reference boxes in a single ``(n_edges, n_boxes, 3)``
    numpy invocation (:func:`repro.core.fast._axis_band_intervals_many`),
@@ -54,8 +54,7 @@ from repro.core.fast import (
 )
 from repro.core.matrix import PercentageMatrix
 from repro.core.relation import RELATIONS_BY_MASK
-from repro.core.tiles import Tile
-from repro.geometry.bbox import BoundingBox
+from repro.core.tiles import Tile, single_tile_prune
 from repro.resilience.deadline import current_deadline
 from repro.resilience.faults import fault_point
 
@@ -92,59 +91,6 @@ _B_MASK = np.uint16(1 << int(Tile.B))
 #: Sentinel band value marking "straddles / touches a grid line" in the
 #: vectorised prune (real bands are -1 / 0 / +1).
 _NO_BAND = 2
-
-
-# ---------------------------------------------------------------------------
-# The mbb single-tile prune
-# ---------------------------------------------------------------------------
-
-
-def single_tile_prune(
-    primary_box: BoundingBox, reference_box: BoundingBox
-) -> Optional[Tile]:
-    """The single tile containing all of the primary, or ``None``.
-
-    Exact box arithmetic over the native coordinate types (``int`` /
-    ``Fraction`` stay rational): when ``mbb(primary)`` lies *strictly*
-    inside one non-``B`` tile of ``mbb(reference)``, every point of the
-    primary lies in that tile's interior, so ``primary R reference``
-    is the single-tile relation ``R = tile`` and the percentage matrix
-    is 100 % in that cell.  All comparisons are strict — a primary box
-    that merely touches a grid line of the reference box (boundary
-    contact) is *not* pruned, because tiles are closed and the touching
-    points belong to several tiles at once.
-
-    ``B`` is deliberately excluded: the interior tile is where the
-    interesting (multi-tile, hole-threading) geometry lives, and the
-    callers' float kernels already handle it; pruning is reserved for
-    the provably-trivial exterior placements that dominate spread-out
-    configurations.
-    """
-    if primary_box.max_x < reference_box.min_x:
-        column = -1
-    elif primary_box.min_x > reference_box.max_x:
-        column = 1
-    elif (
-        reference_box.min_x < primary_box.min_x
-        and primary_box.max_x < reference_box.max_x
-    ):
-        column = 0
-    else:
-        return None  # straddles or touches a vertical grid line
-    if primary_box.max_y < reference_box.min_y:
-        row = -1
-    elif primary_box.min_y > reference_box.max_y:
-        row = 1
-    elif (
-        reference_box.min_y < primary_box.min_y
-        and primary_box.max_y < reference_box.max_y
-    ):
-        row = 0
-    else:
-        return None  # straddles or touches a horizontal grid line
-    if column == 0 and row == 0:
-        return None  # strictly inside B: not pruned (see docstring)
-    return Tile.from_bands(column, row)
 
 
 #: One 100 %-in-one-tile matrix per tile, shared by every pruned pair.

@@ -71,6 +71,51 @@ _BY_BANDS = {(_COLUMN[t], _ROW[t]): t for t in Tile}
 CANONICAL_ORDER: Tuple[Tile, ...] = tuple(sorted(Tile))
 
 
+def single_tile_prune(
+    primary_box: BoundingBox, reference_box: BoundingBox
+) -> Optional[Tile]:
+    """The single tile containing all of the primary, or ``None``.
+
+    Exact box arithmetic over the native coordinate types (``int`` /
+    ``Fraction`` stay rational): when ``mbb(primary)`` lies *strictly*
+    inside one non-``B`` tile of ``mbb(reference)``, every point of the
+    primary lies in that tile's interior, so ``primary R reference``
+    is the single-tile relation ``R = tile`` and the percentage matrix
+    is 100 % in that cell.  All comparisons are strict — a primary box
+    that merely touches a grid line of the reference box (boundary
+    contact) is *not* pruned, because tiles are closed and the touching
+    points belong to several tiles at once.
+
+    The exact and sweep engines answer a pruned pair from the boxes;
+    ``SpatialIndex.tile_candidates`` lists these pairs.  ``B`` never prunes.
+    """
+    if primary_box.max_x < reference_box.min_x:
+        column = -1
+    elif primary_box.min_x > reference_box.max_x:
+        column = 1
+    elif (
+        reference_box.min_x < primary_box.min_x
+        and primary_box.max_x < reference_box.max_x
+    ):
+        column = 0
+    else:
+        return None  # straddles or touches a vertical grid line
+    if primary_box.max_y < reference_box.min_y:
+        row = -1
+    elif primary_box.min_y > reference_box.max_y:
+        row = 1
+    elif (
+        reference_box.min_y < primary_box.min_y
+        and primary_box.max_y < reference_box.max_y
+    ):
+        row = 0
+    else:
+        return None  # straddles or touches a horizontal grid line
+    if column == 0 and row == 0:
+        return None  # strictly inside B: not pruned (see docstring)
+    return Tile.from_bands(column, row)
+
+
 def _bands_of_point(point: Point, box: BoundingBox) -> Tuple[List[int], List[int]]:
     """All (column, row) bands whose closed tile contains ``point``."""
     columns: List[int] = []

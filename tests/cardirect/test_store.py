@@ -1,5 +1,9 @@
 """Tests for the relation store (caching + invalidation)."""
 
+import random
+
+import pytest
+
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.cardirect.store import RelationStore
 from repro.core.tiles import Tile
@@ -49,11 +53,23 @@ class TestRelations:
         assert all(str(r) == "B" for r in self_entries)
 
 
+def engine_counts(store):
+    """``(relation engine calls, cache assists)`` so far.
+
+    Relations are interned, so object identity cannot tell a cache hit
+    from a recompute; the engine's telemetry can.
+    """
+    stats = store.engine_stats
+    return stats.calls["relation"], stats.cache_assists
+
+
 class TestCaching:
     def test_cached_instances_are_reused(self):
         store = make_store()
         first = store.relation("south", "box")
-        assert store.relation("south", "box") is first
+        calls, assists = engine_counts(store)
+        assert store.relation("south", "box") == first
+        assert engine_counts(store) == (calls, assists + 1)
 
     def test_update_region_invalidates(self):
         store = make_store()
@@ -66,14 +82,19 @@ class TestCaching:
         store = make_store()
         east_before = store.relation("east", "box")
         store.update_region(AnnotatedRegion("south", rect_region(2, 12, 8, 18)))
-        assert store.relation("east", "box") is east_before
+        calls, assists = engine_counts(store)
+        assert store.relation("east", "box") == east_before
+        assert engine_counts(store) == (calls, assists + 1)
 
     def test_invalidate_all(self):
         store = make_store()
         first = store.relation("south", "box")
         store.invalidate()
-        assert store.relation("south", "box") is not first
+        calls, assists = engine_counts(store)
         assert store.relation("south", "box") == first
+        assert engine_counts(store) == (calls + 1, assists)
+        assert store.relation("south", "box") == first
+        assert engine_counts(store) == (calls + 1, assists + 1)
 
     def test_invalidate_affects_reference_side_too(self):
         store = make_store()
@@ -81,3 +102,75 @@ class TestCaching:
         # Move the *reference*: east's relation to it must change.
         store.update_region(AnnotatedRegion("box", rect_region(20, 0, 30, 10)))
         assert str(store.relation("east", "box")) == "W"
+
+
+class ScanningStore(RelationStore):
+    """The store with its earlier invalidation: scan every key of every
+    cache for the id, then let the real method do the rest."""
+
+    def invalidate(self, region_id=None):
+        if region_id is not None:
+            for cache in (self._relations, self._percentages,
+                          self._topology, self._distances):
+                for key in [key for key in cache if region_id in key]:
+                    del cache[key]
+        super().invalidate(region_id)
+
+
+def cache_keys(store):
+    return [set(cache) for cache in (store._relations, store._percentages,
+                                     store._topology, store._distances)]
+
+
+def random_rect(rng):
+    x, y = rng.randrange(0, 40), rng.randrange(0, 40)
+    return rect_region(x, y, x + rng.randrange(1, 12), y + rng.randrange(1, 12))
+
+
+class TestInvalidationKeys:
+    """Targeted invalidation drops exactly the keys a scan of every
+    cached pair drops: every key naming the id, its self pair, and its
+    pairs with regions since removed from the configuration."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_matches_the_full_scan(self, seed):
+        rng = random.Random(seed)
+        regions = [AnnotatedRegion(f"r{i}", random_rect(rng)) for i in range(6)]
+        stores = [
+            cls(Configuration.from_regions(list(regions)))
+            for cls in (RelationStore, ScanningStore)
+        ]
+        removed = {}
+        for step in range(80):
+            current = stores[0].configuration.region_ids
+            action = rng.choice(["read", "read", "fill", "edit", "invalidate",
+                                 "remove", "readd"])
+            if action == "read" and len(current) > 1:
+                primary, reference = rng.sample(current, 2)
+                for store in stores:
+                    store.relation(primary, reference)
+                    store.relation(primary, primary)
+                    store.percentages(primary, reference)
+                    store.topology(primary, reference)
+                    store.distance(primary, reference)
+            elif action == "fill":
+                for store in stores:
+                    list(store.all_relations())
+            elif action == "edit" and current:
+                edited = AnnotatedRegion(rng.choice(current), random_rect(rng))
+                for store in stores:
+                    store.update_region(edited)
+            elif action == "invalidate":
+                region_id = rng.choice(sorted(set(current) | set(removed)))
+                for store in stores:
+                    store.invalidate(region_id)
+            elif action == "remove" and len(current) > 2:
+                region_id = rng.choice(current)
+                for store in stores:
+                    removed[region_id] = store.configuration.remove(region_id)
+            elif action == "readd" and removed:
+                region_id = rng.choice(sorted(removed))
+                for store in stores:
+                    store.configuration.add(removed[region_id])
+                del removed[region_id]
+            assert cache_keys(stores[0]) == cache_keys(stores[1]), (seed, step)

@@ -28,8 +28,7 @@ from repro.core.relation import (
     CardinalDirection,
     DisjunctiveCD,
 )
-from repro.core.sweep import single_tile_prune
-from repro.core.tiles import Tile
+from repro.core.tiles import Tile, single_tile_prune
 from repro.geometry.bbox import BoundingBox
 from repro.workloads.generators import random_rectilinear_region
 

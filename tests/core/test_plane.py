@@ -491,8 +491,8 @@ class TestChunkSizer:
     def test_initial_size_splits_the_lead_window(self):
         # 8 rows over 2 workers: lead chunks of 4 — exactly two chunks.
         assert _ChunkSizer(8, 2).next_size(8) == 4
-        # 1000 rows over 4 workers: ceil(1000 / 16) = 63.
-        assert _ChunkSizer(1000, 4).next_size(1000) == 63
+        # 1000 rows over 4 workers: ceil(1000 / 8) = 125.
+        assert _ChunkSizer(1000, 4).next_size(1000) == 125
 
     def test_never_exceeds_per_worker_ceiling(self):
         sizer = _ChunkSizer(100, 4)
@@ -502,7 +502,7 @@ class TestChunkSizer:
     def test_adapts_toward_target_chunk_seconds(self):
         sizer = _ChunkSizer(10_000, 2)
         size = sizer.next_size(10_000)
-        sizer.observe(size, size / 10_000.0)  # 10k rows/sec observed
+        sizer.observe(size, size / 20_000.0)  # 20k rows/sec observed
         grown = sizer.next_size(10_000)
         assert grown > size
         assert grown <= 5_000  # still capped at total / workers
@@ -511,3 +511,13 @@ class TestChunkSizer:
         sizer = _ChunkSizer(100, 2)
         assert sizer.next_size(3) == 3
         assert sizer.next_size(1) == 1
+
+    def test_tail_chunks_split_the_remaining_rows(self):
+        # Fast rows: the latency target alone would carve 50 and leave
+        # one worker idle behind it while the other took the last 24.
+        sizer = _ChunkSizer(100, 2)
+        sizer.observe(13, 0.001)
+        assert sizer.next_size(100) == 50
+        assert sizer.next_size(74) == 37
+        assert sizer.next_size(37) == 19
+        assert sizer.next_size(6) == 4  # never below the minimum chunk

@@ -21,9 +21,8 @@ from repro.core.sweep import (
     FAST_PATH,
     PRUNE_PATH,
     SweepEngine,
-    single_tile_prune,
 )
-from repro.core.tiles import Tile
+from repro.core.tiles import Tile, single_tile_prune
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.geometry.bbox import BoundingBox
 from repro.workloads.generators import (
