@@ -10,10 +10,10 @@ batch pipeline runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.batch import BatchReport, PairOutcome
+    from repro.core.batch import BatchReport
 
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.core.engine import Engine, EngineLike, EngineStats, resolve_engine
@@ -162,9 +162,8 @@ class RelationStore:
             # Full (re)build: the dirty set is subsumed — invalidation
             # already dropped the stale pairs, so they recompute here.
             self._dirty.clear()
-            for outcome in self._sweep():
-                if not outcome.ok:
-                    self._refill(outcome.primary_id, outcome.reference_id)
+            for outcome in self._sweep().error_outcomes():
+                self._refill(outcome.primary_id, outcome.reference_id)
             self._matrix_ids = ids
             return
         for region_id in sorted(self._dirty.intersection(ids)):
@@ -174,14 +173,15 @@ class RelationStore:
                     self._refill(other_id, region_id)
         self._dirty.clear()
 
-    def _sweep(self, *, include_self: bool = False) -> List["PairOutcome"]:
-        """Every ordered pair's outcome from one ``batch_relations`` call.
+    def _sweep(self, *, include_self: bool = False) -> "BatchReport":
+        """Every ordered pair from one ``batch_relations`` call.
 
         The sweep runs on the stored geometry — no validation, no
         repair — through this store's own engine instance, so its work
-        lands in :attr:`engine_stats`.  Answered pairs are cached; when
-        the ambient deadline cut the sweep short, the cached pairs stay
-        and :class:`~repro.errors.DeadlineExceeded` is raised.
+        lands in :attr:`engine_stats`.  Answered pairs are cached
+        straight from the report's mask column; when the ambient
+        deadline cut the sweep short, the cached pairs stay and
+        :class:`~repro.errors.DeadlineExceeded` is raised.
         """
         from repro.core.batch import batch_relations
 
@@ -198,7 +198,7 @@ class RelationStore:
         _count_store_request("relation", "miss", len(answered))
         if report.deadline_hit:
             raise DeadlineExceeded(site="store.sweep", remaining=0.0)
-        return report.outcomes
+        return report
 
     def _refill(self, primary_id: str, reference_id: str) -> CardinalDirection:
         """The pair's relation, computed through :meth:`relation` unless
@@ -288,7 +288,7 @@ class RelationStore:
                         relations[(primary_id, reference_id)],
                     )
             return
-        for outcome in self._sweep(include_self=include_self):
+        for outcome in self._sweep(include_self=include_self).outcomes:
             if on_error == "report":
                 yield outcome
             elif outcome.ok:

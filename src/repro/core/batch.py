@@ -17,8 +17,14 @@ pairwise matrix with **per-pair fault isolation**:
   outcome carrying the exception context (region ids, polygon/vertex
   indices via :class:`~repro.errors.GeometryError`).
 
-The result is a :class:`BatchReport` of :class:`PairOutcome` entries —
-``ok`` / ``repaired`` / ``error`` — never an exception for bad geometry.
+The result is a :class:`BatchReport` — never an exception for bad
+geometry.  It stores the answer as columns: a primaries × references
+uint16 tile-mask matrix, status and path codes, sparse error texts and
+optional percentages.  Each row is written once, by row-slice copy from
+the plane kernel or pair by pair from :func:`_sweep_rows`, and its
+statuses and errors are fixed then.  :class:`PairOutcome` objects
+(``ok`` / ``repaired`` / ``error`` / ``deadline``) are made only when
+asked for, row by row, through :attr:`BatchReport.outcomes`.
 
 Two execution paths share the isolation machinery:
 
@@ -40,12 +46,12 @@ Two execution paths share the isolation machinery:
   plane engine, the validated region maps otherwise; inherited under
   fork, one pickled copy per worker under spawn or forkserver, never
   pickled per chunk — and sweeps index-range chunks sized adaptively
-  from observed chunk latency.  Outcomes keep primary-major order and
-  per-worker :class:`~repro.core.engine.EngineStats` snapshots are
-  merged into the report's stats.  Plane workers return compact
-  tile-mask/area blocks the parent assembles into outcomes exactly as
-  the inline run does; the others run the same :func:`_sweep_rows`
-  the serial path runs.
+  from observed chunk latency.  Per-worker
+  :class:`~repro.core.engine.EngineStats` snapshots are merged into the
+  report's stats.  Plane workers return tile-mask/area blocks the
+  parent copies into the report's rows exactly as the inline run does;
+  the others run the same :func:`_sweep_rows` the serial path runs,
+  into a chunk-sized table whose arrays travel back.
 
 When the observability subsystem (:mod:`repro.obs`) has sinks
 installed, the sweep is traced end to end: a ``batch.relations`` root
@@ -61,37 +67,25 @@ from __future__ import annotations
 import gc
 import os
 import time
-from collections import Counter
+from collections.abc import Sequence as SequenceABC
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter
-from typing import (
-    Any,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from itertools import chain, compress, groupby, repeat
+from operator import eq, itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro import obs
 
 from repro.cardirect.model import Configuration
-from repro.core.engine import (
-    Engine,
-    EngineLike,
-    EngineStats,
-    create_engine,
-    resolve_engine,
-)
+from repro.core.engine import Engine, EngineLike, EngineStats, create_engine, resolve_engine
 from repro.core.guarded import DEFAULT_EPSILON
 from repro.core.matrix import PercentageMatrix
 from repro.core.plane import GeometryPlane
 from repro.core.relation import RELATIONS_BY_MASK, CardinalDirection
-from repro.core.tiles import Tile
+from repro.core.sweep import AREA_TILE_ORDER, BROADCAST_PATH, PRUNE_MATRICES, PRUNE_PATH
+from repro.core.sweep import PLANE_PATH_BROADCAST, PLANE_PATH_PRUNE
 from repro.core.validate import ERROR, validate_region
 from repro.errors import DeadlineExceeded, GeometryError, InjectedFault, ReproError
 from repro.geometry.bbox import BoundingBox
@@ -127,11 +121,11 @@ _DEADLINE_GRACE = 0.25
 class PairOutcome(NamedTuple):
     """The result (or failure) of one ordered pair.
 
-    A named tuple rather than a frozen dataclass: a plane-parallel
-    sweep constructs one per pair in the parent's assembly loop, and
-    tuple construction is several times cheaper than frozen-dataclass
-    field assignment — at a million pairs that difference is seconds.
-    Still immutable, still compared field by field.
+    A named tuple rather than a frozen dataclass: a report makes one per
+    pair each time its :attr:`~BatchReport.outcomes` are read, and tuple
+    construction is several times cheaper than frozen-dataclass field
+    assignment — at a million pairs that difference is seconds.  Still
+    immutable, still compared field by field.
     """
 
     primary_id: str
@@ -155,9 +149,247 @@ class PairOutcome(NamedTuple):
         return f"{self.primary_id} ?? {self.reference_id}: {self.error}"
 
 
+#: A report's status codes; code 4 marks a self pair the sweep skipped
+#: (``include_self=False``), which has no outcome.
+_STATUSES: Tuple[Optional[str], ...] = (OK, REPAIRED, FAILED, DEADLINE, None)
+_STATUS_CODE = {status: code for code, status in enumerate(_STATUSES)}
+_REPAIRED_CODE, _FAILED_CODE, _DEADLINE_CODE, _ABSENT = 1, 2, 3, 4
+
+#: One pair's answer as the per-pair sweep writes it: a
+#: :class:`PairOutcome`'s ``(status, relation, percentages, error, path)``.
+_Answer = Tuple[
+    str, Optional[CardinalDirection], Optional[PercentageMatrix], Optional[str], Optional[str]
+]
+
+#: The error of a ``DEADLINE`` pair unless the sweep wrote another.
+_DEADLINE_TEXT = "wall-clock deadline expired before this pair"
+
+#: Every relation's tile bitmask (``None``: 0), inverse to RELATIONS_BY_MASK.
+_MASK_OF = {relation: mask for mask, relation in enumerate(RELATIONS_BY_MASK)}
+_PRUNE_BY_MASK = {1 << tile: matrix for tile, matrix in PRUNE_MATRICES.items()}
+_new_outcome: Any = tuple.__new__
+
+
+def _plane_matrix(
+    mask: int, path: int, cells: List[float]
+) -> Optional[PercentageMatrix]:
+    """A plane-written pair's matrix: a pruned pair's single-tile one, a
+    broadcast pair's normalised areas, else none."""
+    if path == PLANE_PATH_PRUNE:
+        return _PRUNE_BY_MASK[mask]
+    if path == PLANE_PATH_BROADCAST:
+        return PercentageMatrix.from_areas(dict(zip(AREA_TILE_ORDER, cells)))
+    return None
+
+
+def _overlay(values: List[Any], slots: Sequence[int], entries: Any) -> None:
+    """Write a row's sparse ``{column: value}`` entries over ``values``,
+    the decoded values of its columns ``slots``."""
+    if isinstance(slots, range):
+        for column, value in (entries or {}).items():
+            values[column] = value
+    elif entries:
+        for position, column in enumerate(slots):
+            if column in entries:
+                values[position] = entries[column]
+
+
+class OutcomeTable(SequenceABC):
+    """A sweep's pair outcomes, stored as columns over primaries ×
+    references slots and read as a primary-major sequence.
+
+    ``masks`` (uint16 tile bitmasks, 0 without a relation), ``status``
+    (codes into :data:`_STATUSES`) and ``paths`` (codes into
+    ``path_names``) are ``(rows, width)`` arrays.  ``errors`` and
+    ``matrices`` are sparse ``{row: {column: value}}`` maps; a
+    ``DEADLINE`` slot without an entry has :data:`_DEADLINE_TEXT`.  A
+    percentage sweep's plane-written pairs get their matrices from the
+    kernel's ``areas`` block.
+
+    Reading decodes :class:`PairOutcome` objects afresh, a row at a
+    time, and keeps none of them.  Assigning an item encodes it into its
+    slot, so every reader of the report sees the change.
+    """
+
+    def __init__(
+        self,
+        primary_ids: Sequence[str],
+        reference_ids: Sequence[str],
+        *,
+        include_self: bool,
+    ) -> None:
+        self.primary_ids = list(primary_ids)
+        self.reference_ids = list(reference_ids)
+        self.width = len(self.reference_ids)
+        shape = (len(self.primary_ids), self.width)
+        self.masks = np.zeros(shape, dtype=np.uint16)
+        self.status = np.zeros(shape, dtype=np.uint8)
+        self.paths = np.zeros(shape, dtype=np.uint8)
+        self.path_names: List[Optional[str]] = [None, PRUNE_PATH, BROADCAST_PATH]
+        self.errors: Dict[int, Dict[int, Optional[str]]] = {}
+        self.matrices: Dict[int, Dict[int, Optional[PercentageMatrix]]] = {}
+        self.areas: Optional[np.ndarray] = None
+        self.absent: Dict[int, List[int]] = {}  # per row, its self slots
+        columns_of: Dict[str, List[int]] = {}
+        for column, reference_id in enumerate(self.reference_ids):
+            columns_of.setdefault(reference_id, []).append(column)
+        present = np.full(shape[0], self.width)
+        for row, primary_id in enumerate(self.primary_ids):
+            if not include_self and primary_id in columns_of:
+                self.absent[row] = columns_of[primary_id]
+                self.status[row, self.absent[row]] = _ABSENT
+                present[row] -= len(self.absent[row])
+        self.starts = np.concatenate(([0], np.cumsum(present)))
+        self.size = int(self.starts[-1])
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[PairOutcome]:
+        return chain.from_iterable(map(self.decode, range(len(self.primary_ids))))
+
+    def __getitem__(self, index: Any) -> Any:
+        row, column = self.locate(index)
+        return self.decode(row, [column])[0]
+
+    def __setitem__(self, index: int, outcome: PairOutcome) -> None:
+        row, column = self.locate(index)
+        slot = (self.primary_ids[row], self.reference_ids[column])
+        if (outcome.primary_id, outcome.reference_id) != slot:
+            raise ValueError(f"outcome {index} must be of the pair {slot!r}")
+        for sparse in (self.errors, self.matrices):
+            sparse.get(row, {}).pop(column, None)
+        self.put(row, [column], [outcome[2:]])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def put(self, row: int, columns: List[int], answers: List[_Answer]) -> None:
+        """Encode ``(status, relation, percentages, error, path)`` answers
+        into the empty slots ``columns`` of one row."""
+        for path in {answer[4] for answer in answers}:
+            self.path_code(path)
+        at = np.asarray(columns, dtype=np.intp)
+        codes = [_STATUS_CODE[answer[0]] for answer in answers]
+        self.status[row, at] = codes
+        self.masks[row, at] = [_MASK_OF[answer[1]] for answer in answers]
+        self.paths[row, at] = [self.path_names.index(answer[4]) for answer in answers]
+        errors = {
+            column: answer[3]
+            for column, code, answer in zip(columns, codes, answers)
+            if answer[3] != (_DEADLINE_TEXT if code == _DEADLINE_CODE else None)
+        }
+        matrices = {
+            column: answer[2]
+            for column, answer in zip(columns, answers)
+            if answer[2] is not None or self.areas is not None
+        }
+        for sparse, entries in ((self.errors, errors), (self.matrices, matrices)):
+            if entries:
+                sparse.setdefault(row, {}).update(entries)
+
+    def path_code(self, path: Optional[str]) -> int:
+        if path not in self.path_names:
+            self.path_names.append(path)
+        return self.path_names.index(path)
+
+    def paste(self, start: int, chunk: "OutcomeTable") -> None:
+        """Copy a chunk table's rows in from row ``start``."""
+        stop = start + len(chunk.primary_ids)
+        self.masks[start:stop] = chunk.masks
+        self.status[start:stop] = chunk.status
+        codes = np.array([self.path_code(n) for n in chunk.path_names], np.uint8)
+        self.paths[start:stop] = codes[chunk.paths]
+        for mine, theirs in ((self.errors, chunk.errors), (self.matrices, chunk.matrices)):
+            mine.update((start + row, entries) for row, entries in theirs.items())
+
+    def tally(self) -> Dict[Optional[str], int]:
+        """The pair count of every status."""
+        counts = np.bincount(self.status.ravel(), minlength=len(_STATUSES))
+        return dict(zip(_STATUSES, counts.tolist()))
+
+    def locate(self, index: int) -> Tuple[int, int]:
+        """The ``(row, column)`` slot of the ``index``-th outcome."""
+        position = index + self.size if index < 0 else index
+        if not 0 <= position < self.size:
+            raise IndexError("outcome index out of range")
+        row = int(np.searchsorted(self.starts, position, side="right")) - 1
+        column = position - int(self.starts[row])
+        for skipped in self.absent.get(row, ()):
+            column += skipped <= column
+        return row, column
+
+    def decode(
+        self, row: int, columns: Optional[List[int]] = None
+    ) -> List[PairOutcome]:
+        """The outcomes of one row's ``columns`` (default: its every pair),
+        made in bulk: ``map`` / ``zip`` over ``tuple.__new__``, no
+        Python-level loop per pair."""
+        at: Any = slice(None) if columns is None else columns
+        slots: Sequence[int] = range(self.width) if columns is None else columns
+        status_row = self.status[row, at].tolist()
+        mask_row = self.masks[row, at].tolist()
+        path_row = self.paths[row, at].tolist()
+        errors: Any = repeat(None)
+        if row in self.errors or _DEADLINE_CODE in status_row:
+            errors = [_DEADLINE_TEXT if c == _DEADLINE_CODE else None for c in status_row]
+            _overlay(errors, slots, self.errors.get(row))
+        matrices: Any = repeat(None)
+        if row in self.matrices or self.areas is not None:
+            matrices = (
+                [None] * len(status_row)
+                if self.areas is None
+                else list(map(_plane_matrix, mask_row, path_row, self.areas[row, at].tolist()))
+            )
+            _overlay(matrices, slots, self.matrices.get(row))
+        outcomes = list(
+            map(
+                _new_outcome,
+                repeat(PairOutcome),
+                zip(
+                    repeat(self.primary_ids[row]),
+                    map(self.reference_ids.__getitem__, slots),
+                    map(_STATUSES.__getitem__, status_row),
+                    map(RELATIONS_BY_MASK.__getitem__, mask_row),
+                    matrices,
+                    errors,
+                    map(self.path_names.__getitem__, path_row),
+                ),
+            )
+        )
+        for column in reversed(self.absent.get(row, ()) if columns is None else ()):
+            del outcomes[column]
+        return outcomes
+
+    def select(self, *codes: int) -> List[PairOutcome]:
+        """The outcomes with a status code in ``codes``, in order."""
+        rows, columns = np.nonzero(np.isin(self.status, codes))
+        outcomes: List[PairOutcome] = []
+        for row, group in groupby(zip(rows.tolist(), columns.tolist()), itemgetter(0)):
+            outcomes += self.decode(row, [column for _, column in group])
+        return outcomes
+
+    def relations(self) -> Dict[Tuple[str, str], CardinalDirection]:
+        """The answered pairs' relations, straight from the mask column."""
+        relations: Dict[Tuple[str, str], CardinalDirection] = {}
+        answered = (self.status <= _REPAIRED_CODE).tolist()
+        for row, primary_id in enumerate(self.primary_ids):
+            pairs = zip(repeat(primary_id), self.reference_ids)
+            found = map(RELATIONS_BY_MASK.__getitem__, self.masks[row].tolist())
+            relations.update(compress(zip(pairs, found), answered[row]))
+        return relations
+
+
 @dataclass
 class BatchReport:
     """Every pair's outcome, plus the region-level repair bookkeeping.
+
+    The pairs are stored as columns, in ``table``, which is also what
+    :attr:`outcomes` returns.  It and the ``*_outcomes()`` selections
+    make :class:`PairOutcome` objects on request; :meth:`relations` and
+    :meth:`summary` read the columns directly.
 
     ``engine`` names the compute backend that served the sweep and
     ``engine_stats`` carries its uniform telemetry (call counts,
@@ -176,7 +408,7 @@ class BatchReport:
     ``DEADLINE`` status (see :meth:`deadline_outcomes`).
     """
 
-    outcomes: List[PairOutcome]
+    table: OutcomeTable = field(repr=False)
     repairs: Dict[str, RepairReport]
     broken: Dict[str, str]
     engine: Optional[str] = None
@@ -186,35 +418,42 @@ class BatchReport:
     inline_chunks: int = 0
     deadline_hit: bool = False
 
+    @property
+    def outcomes(self) -> OutcomeTable:
+        """Every pair's :class:`PairOutcome`, as the :class:`OutcomeTable`.
+        Assigning a list of the same pairs, in order, encodes it."""
+        return self.table
+
+    @outcomes.setter
+    def outcomes(self, outcomes: Iterable[PairOutcome]) -> None:
+        replacement = list(outcomes)
+        if len(replacement) != self.table.size:
+            raise ValueError(f"{len(replacement)} outcomes for {self.table.size} pairs")
+        for index, outcome in enumerate(replacement):
+            self.table[index] = outcome
+
     def ok_outcomes(self) -> List[PairOutcome]:
-        return [outcome for outcome in self.outcomes if outcome.ok]
+        return self.table.select(0, _REPAIRED_CODE)
 
     def error_outcomes(self) -> List[PairOutcome]:
-        return [
-            outcome for outcome in self.outcomes if outcome.status == FAILED
-        ]
+        return self.table.select(_FAILED_CODE)
 
     def deadline_outcomes(self) -> List[PairOutcome]:
         """Pairs abandoned because the wall-clock deadline expired."""
-        return [
-            outcome for outcome in self.outcomes if outcome.status == DEADLINE
-        ]
+        return self.table.select(_DEADLINE_CODE)
 
     def relations(self) -> Dict[Tuple[str, str], CardinalDirection]:
         """The answered pairs as a ``{(primary, reference): R}`` mapping."""
-        return {
-            (outcome.primary_id, outcome.reference_id): outcome.relation
-            for outcome in self.outcomes
-            if outcome.ok
-        }
+        return self.table.relations()
 
     def summary(self) -> str:
-        ok = len(self.ok_outcomes())
-        failed = len(self.error_outcomes())
-        parts = [f"{ok} pair(s) answered, {failed} failed"]
-        abandoned = len(self.deadline_outcomes())
-        if abandoned:
-            parts.append(f"{abandoned} pair(s) past deadline")
+        tally = self.table.tally()
+        parts = [
+            f"{tally[OK] + tally[REPAIRED]} pair(s) answered, "
+            f"{tally[FAILED]} failed"
+        ]
+        if tally[DEADLINE]:
+            parts.append(f"{tally[DEADLINE]} pair(s) past deadline")
         if self.repairs:
             parts.append(f"{len(self.repairs)} region(s) repaired")
         if self.broken:
@@ -296,241 +535,120 @@ def _try_repair_into(
     return repaired
 
 
-def _unusable_outcome(
+def _unusable_text(
     primary_id: str, reference_id: str, broken: Dict[str, str]
-) -> PairOutcome:
-    """A pair with an unusable region on either side, primary named first."""
-    return PairOutcome(
-        primary_id,
-        reference_id,
-        FAILED,
-        error="; ".join(
-            f"region {region_id!r} unusable: {broken[region_id]}"
-            for region_id in (primary_id, reference_id)
-            if region_id in broken
-        ),
+) -> str:
+    """Why a pair cannot be answered: its unusable regions, primary
+    first ("" when both are usable)."""
+    return "; ".join(
+        f"region {region_id!r} unusable: {broken[region_id]}"
+        for region_id in (primary_id, reference_id)
+        if region_id in broken
     )
 
 
-def _deadline_outcome(
-    primary_id: str, reference_id: str, detail: str = ""
-) -> PairOutcome:
+def _deadline_answer(detail: str = "") -> _Answer:
     """A pair abandoned because the wall-clock budget ran out."""
-    return PairOutcome(
-        primary_id,
-        reference_id,
-        DEADLINE,
-        error=detail or "wall-clock deadline expired before this pair",
-    )
+    return (DEADLINE, None, None, detail or _DEADLINE_TEXT, None)
 
 
-def _pair_outcome(
-    primary_id: str,
-    reference_id: str,
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    *,
-    backend: Engine,
-    percentages: bool,
-    repair: bool,
-    policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
-) -> PairOutcome:
+def _pair_outcome(sweep: "_Sweep", primary_id: str, reference_id: str) -> _Answer:
     """One healthy pair through the engine, with policy-bounded retries.
 
-    Transient failures (injected faults) are retried by plain
-    recomputation; other :class:`ReproError`\\ s take the
-    retry-after-repair path when ``repair`` allows and the policy grants
-    more than one attempt.  A deadline expiry is terminal and yields a
-    ``DEADLINE`` outcome, never a retry.
+    A transient failure (an injected fault) is retried by plain
+    recomputation up to the policy's attempt budget, backing off between
+    attempts (capped by the current deadline); when no attempt succeeds,
+    or a retry meets another error, the first fault is recorded.  Any
+    other :class:`ReproError` takes the retry-after-repair path when the
+    sweep repairs and the policy grants more than one attempt.  A
+    deadline expiry is terminal and yields a ``DEADLINE`` outcome, never
+    a retry.
     """
-    primary = healthy[primary_id]
-    box = boxes[reference_id]
-    repaired_pair = primary_id in repairs or reference_id in repairs
-    try:
-        fault_point(
-            "batch.pair",
-            primary=primary_id,
-            reference=reference_id,
-            attempt=0,
-        )
-        relation, matrix, path = _compute_pair(
-            primary, box, engine=backend, percentages=percentages
-        )
-    except DeadlineExceeded as error:
-        return _deadline_outcome(primary_id, reference_id, str(error))
-    except InjectedFault as error:
-        retried = _retry_transient(
-            primary_id,
-            reference_id,
-            primary,
-            box,
-            backend=backend,
-            percentages=percentages,
-            policy=policy,
-            repaired_pair=repaired_pair,
-        )
-        if retried is not None:
-            return retried
-        return PairOutcome(
-            primary_id,
-            reference_id,
-            FAILED,
-            error=f"{type(error).__name__}: {error}",
-        )
-    except ReproError as error:
-        if isinstance(error, GeometryError):
-            error.with_context(region_id=primary_id)
-        if repair and not repaired_pair and policy.max_attempts > 1:
-            count_retry("batch.repair")
-            retried = _retry_after_repair(
-                primary_id,
-                reference_id,
-                healthy,
-                boxes,
-                repairs,
-                broken,
-                engine=backend,
-                percentages=percentages,
-            )
-            if retried is not None:
-                return retried
-        return PairOutcome(
-            primary_id,
-            reference_id,
-            FAILED,
-            error=f"{type(error).__name__}: {error}",
-        )
-    return PairOutcome(
-        primary_id,
-        reference_id,
-        REPAIRED if repaired_pair else OK,
-        relation=relation,
-        percentages=matrix,
-        path=path,
-    )
-
-
-def _retry_transient(
-    primary_id: str,
-    reference_id: str,
-    primary: Region,
-    box: BoundingBox,
-    *,
-    backend: Engine,
-    percentages: bool,
-    policy: RetryPolicy,
-    repaired_pair: bool,
-) -> Optional[PairOutcome]:
-    """Plain recomputation retries for a transiently-failing pair.
-
-    Used after an :class:`InjectedFault`: the geometry is fine, so
-    repair would be wasted work — just try again, up to the policy's
-    attempt budget, backing off between attempts (capped by the current
-    deadline).  Returns ``None`` when every attempt failed — the caller
-    then records the original error.
-    """
-    deadline = current_deadline()
-    for retry in range(policy.max_attempts - 1):
-        pause = policy.delay(retry, key=f"{primary_id}:{reference_id}")
-        if deadline is not None:
-            if deadline.expired():
-                return _deadline_outcome(primary_id, reference_id)
-            pause = min(pause, deadline.remaining())
-        count_retry("batch.pair")
-        if pause > 0.0:
-            time.sleep(pause)
+    primary = sweep.healthy[primary_id]
+    box = sweep.boxes[reference_id]
+    repaired_pair = primary_id in sweep.repairs or reference_id in sweep.repairs
+    policy = sweep.policy
+    fault: Optional[ReproError] = None
+    for attempt in range(policy.max_attempts):
+        if attempt:
+            deadline = current_deadline()
+            pause = policy.delay(attempt - 1, key=f"{primary_id}:{reference_id}")
+            if deadline is not None:
+                if deadline.expired():
+                    return _deadline_answer()
+                pause = min(pause, deadline.remaining())
+            count_retry("batch.pair")
+            if pause > 0.0:
+                time.sleep(pause)
         try:
             fault_point(
                 "batch.pair",
                 primary=primary_id,
                 reference=reference_id,
-                attempt=retry + 1,
+                attempt=attempt,
             )
             relation, matrix, path = _compute_pair(
-                primary, box, engine=backend, percentages=percentages
+                primary, box, engine=sweep.backend, percentages=sweep.percentages
             )
         except DeadlineExceeded as error:
-            return _deadline_outcome(primary_id, reference_id, str(error))
-        except InjectedFault:
+            return _deadline_answer(str(error))
+        except InjectedFault as error:
+            fault = fault or error
             continue
-        except ReproError:
-            return None
-        return PairOutcome(
-            primary_id,
-            reference_id,
-            REPAIRED if repaired_pair else OK,
-            relation=relation,
-            percentages=matrix,
-            path=path,
-        )
-    return None
+        except ReproError as error:
+            if fault is not None:
+                break
+            if isinstance(error, GeometryError):
+                error.with_context(region_id=primary_id)
+            if sweep.repair and not repaired_pair and policy.max_attempts > 1:
+                count_retry("batch.repair")
+                retried = _retry_after_repair(sweep, primary_id, reference_id)
+                if retried is not None:
+                    return retried
+            fault = error
+            break
+        return (REPAIRED if repaired_pair else OK, relation, matrix, None, path)
+    return (FAILED, None, None, f"{type(fault).__name__}: {fault}", None)
 
 
-def _sweep_rows(
-    primary_ids: Sequence[str],
-    all_ids: Sequence[str],
-    *,
-    include_self: bool,
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    backend: Engine,
-    percentages: bool,
-    repair: bool,
-    policy: RetryPolicy = DEFAULT_BATCH_RETRY_POLICY,
-) -> List[PairOutcome]:
-    """The per-pair sweep over ``primary_ids`` × ``all_ids``.
+def _sweep_rows(sweep: "_Sweep", start: int, stop: int) -> None:
+    """The per-pair sweep of the table's rows ``[start, stop)``.
 
     Every pair goes through :func:`_pair_outcome`, with its per-pair
-    fault isolation and retry-after-repair.  This is the whole sweep of
-    an engine without the plane protocol, and the fallback for the rows
-    the plane kernel did not answer (see :func:`_inline_rows`).
-    Mutates ``healthy`` / ``boxes`` / ``repairs`` as retries repair
+    fault isolation and retry-after-repair, and each row is written
+    into the table once its pairs are answered; no :class:`PairOutcome`
+    is made.  This is the whole sweep of an
+    engine without the plane protocol, and the fallback for the rows the
+    plane kernel did not answer (see :func:`_inline_rows`).  Mutates the
+    sweep's ``healthy`` / ``boxes`` / ``repairs`` as retries repair
     regions, so later pairs reuse the repaired geometry.
 
     The current deadline (contextvar) is checked once per row and once
-    per pair: when it expires, every unreached pair is emitted as a
-    ``DEADLINE`` outcome, so the output always covers the full
-    ``primary_ids`` × ``all_ids`` matrix — partial work is labelled,
-    never silently dropped.
+    per pair: when it expires, every unreached pair is labelled
+    ``DEADLINE``, so the table always covers the full rows — partial
+    work is labelled, never silently dropped.
     """
-    outcomes: List[PairOutcome] = []
+    table, broken = sweep.table, sweep.broken
     deadline = current_deadline()
-    for position, primary_id in enumerate(primary_ids):
+    for row in range(start, stop):
         if deadline is not None and deadline.expired():
             count_deadline_exceeded("batch.sweep")
-            for late_primary in primary_ids[position:]:
-                outcomes.extend(
-                    _deadline_outcome(late_primary, reference_id)
-                    for reference_id in all_ids
-                    if include_self or reference_id != late_primary
-                )
-            break
-        for reference_id in all_ids:
-            if not include_self and reference_id == primary_id:
-                continue
+            late = table.status[row:stop]
+            late[late != _ABSENT] = _DEADLINE_CODE
+            return
+        primary_id = table.primary_ids[row]
+        skipped = table.absent.get(row, ())
+        columns = [c for c in range(table.width) if c not in skipped]
+        answers: List[_Answer] = []
+        for reference_id in map(table.reference_ids.__getitem__, columns):
             if primary_id in broken or reference_id in broken:
-                outcome = _unusable_outcome(primary_id, reference_id, broken)
+                unusable = _unusable_text(primary_id, reference_id, broken)
+                answers.append((FAILED, None, None, unusable, None))
             elif deadline is not None and deadline.expired():
-                outcome = _deadline_outcome(primary_id, reference_id)
+                answers.append(_deadline_answer())
             else:
-                outcome = _pair_outcome(
-                    primary_id,
-                    reference_id,
-                    healthy,
-                    boxes,
-                    repairs,
-                    broken,
-                    backend=backend,
-                    percentages=percentages,
-                    repair=repair,
-                    policy=policy,
-                )
-            outcomes.append(outcome)
-    return outcomes
+                answers.append(_pair_outcome(sweep, primary_id, reference_id))
+        table.put(row, columns, answers)
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +768,9 @@ def _plane_block(
 
     Runs in a pool worker and, inline, in the parent (see
     :func:`_inline_rows`).  Returns the rows swept — fewer than asked
-    when the deadline expired mid-chunk — and the compact ``(masks,
-    paths, areas)`` blocks :func:`_assemble_plane_rows` turns into
-    outcomes in the parent.
+    when the deadline expired mid-chunk — and the full-width ``(masks,
+    paths, areas)`` blocks :meth:`_Sweep.plane_rows` copies into the
+    report's rows in the parent.
     """
     row_index, column_index = restriction
     rows_done, masks, paths, areas = getattr(backend, "sweep_plane")(
@@ -673,10 +791,11 @@ def _region_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
 
     The same call the inline fallback makes, on per-chunk copies of the
     installed maps so every chunk starts from the parent's validated
-    state whichever worker serves it.  Returns the whole chunk as done
-    (pairs past the deadline come back labelled ``DEADLINE``) with its
-    outcomes as plain tuples (a ``PairOutcome`` costs a Python call per
-    pickle and unpickle) and the repairs made here, for the parent.
+    state whichever worker serves it, into a table of the chunk's rows.
+    Returns the whole chunk as done (pairs past the deadline come back
+    labelled ``DEADLINE``) with that table — arrays and sparse maps, no
+    per-pair objects beyond the percentage matrices — and the repairs
+    made here, for the parent.
     """
     (
         primary_ids,
@@ -688,26 +807,30 @@ def _region_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
         repair,
         policy,
     ) = _WORKER["regions"]
-    chunk_repairs = dict(repairs)
-    outcomes = _sweep_rows(
+    table = OutcomeTable(
         primary_ids[task["start"] : task["stop"]],
         reference_ids,
         include_self=task["include_self"],
+    )
+    sweep = _Sweep(
+        table=table,
+        include_self=task["include_self"],
+        percentages=task["percentages"],
         healthy=dict(healthy),
         boxes=dict(boxes),
-        repairs=chunk_repairs,
+        repairs=dict(repairs),
         broken=dict(broken),
         backend=backend,
-        percentages=task["percentages"],
         repair=repair,
         policy=policy,
     )
+    _sweep_rows(sweep, 0, len(table.primary_ids))
     new_repairs = {
         region_id: report
-        for region_id, report in chunk_repairs.items()
+        for region_id, report in sweep.repairs.items()
         if region_id not in repairs
     }
-    return task["stop"] - task["start"], ([tuple(o) for o in outcomes], new_repairs)
+    return len(table.primary_ids), (table, new_repairs)
 
 
 def _pool_chunk(task: dict) -> tuple:
@@ -797,162 +920,20 @@ def _pool_chunk(task: dict) -> tuple:
     )
 
 
-def _assemble_plane_rows(
-    masks: Any,
-    paths: Any,
-    areas: Any,
-    *,
-    start: int,
-    rows_done: int,
-    all_ids: Sequence[str],
-    include_self: bool,
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    percentages: bool,
-    row_lookup: Optional[Sequence[int]] = None,
-    column_positions: Optional[Sequence[int]] = None,
-) -> List[PairOutcome]:
-    """Plane-kernel mask/area blocks → :class:`PairOutcome` rows.
-
-    The one assembly of the inline run and the pool alike: broken pairs
-    carry the primary-then-reference unusable message
-    :func:`_sweep_rows` writes, pruned pairs the exact ``{tile: 100}``
-    matrix, broadcast pairs a
-    :meth:`~repro.core.matrix.PercentageMatrix.from_areas` over the
-    per-tile float areas in :data:`~repro.core.sweep.AREA_TILE_ORDER`.
-
-    For a restricted sweep, ``row_lookup`` maps chunk positions to
-    global plane rows and ``column_positions`` lists the reference
-    columns in the caller's order (both ``None`` for the full matrix),
-    so restricted outcomes come in the caller's primary × reference
-    order.
-
-    A million pairs at a thousand regions pass through here, so each row
-    is built in bulk: its masks and paths become lists once, relations
-    come from :data:`~repro.core.relation.RELATIONS_BY_MASK`, and the
-    outcomes are made by ``map``/``zip`` over ``tuple.__new__`` without
-    a Python-level loop per pair.  The pairs a mask cannot answer all
-    carry mask 0 — self, broken and empty-mask columns — and are
-    patched afterwards.
-    """
-    from repro.core.sweep import (
-        AREA_TILE_ORDER,
-        BROADCAST_PATH,
-        PLANE_PATH_BROADCAST,
-        PLANE_PATH_PRUNE,
-        PRUNE_PATH,
-        prune_matrix,
-    )
-
-    ids = list(all_ids)
-    columns = (
-        list(range(len(ids)))
-        if column_positions is None
-        else list(column_positions)
-    )
-    reference_ids = [ids[column] for column in columns]
-    mask_block = masks[:rows_done]
-    path_block = paths[:rows_done]
-    if column_positions is not None:
-        mask_block = mask_block[:, columns]
-        path_block = path_block[:, columns]
-    # Per row, the slots whose mask is 0: self, broken and empty-mask pairs.
-    unanswered: List[List[int]] = [[] for _ in range(rows_done)]
-    for row_offset, slot in zip(*(mask_block == 0).nonzero()):
-        unanswered[row_offset].append(int(slot))
-    slots_of: Dict[int, List[int]] = {}
-    for slot, column in enumerate(columns):
-        slots_of.setdefault(column, []).append(slot)
-    column_statuses = [
-        REPAIRED if reference_id in repairs else OK
-        for reference_id in reference_ids
-    ]
-    relation_of = RELATIONS_BY_MASK.__getitem__
-    path_name_of = (None, PRUNE_PATH, BROADCAST_PATH).__getitem__
-    prune_by_mask = {1 << tile: prune_matrix(tile) for tile in Tile}
-
-    def matrix_of(
-        mask: int, path: int, cells: List[float]
-    ) -> Optional[PercentageMatrix]:
-        if path == PLANE_PATH_PRUNE:
-            return prune_by_mask[mask]
-        if path == PLANE_PATH_BROADCAST:
-            return PercentageMatrix.from_areas(dict(zip(AREA_TILE_ORDER, cells)))
-        return None
-
-    new_outcome: Any = tuple.__new__
-    outcomes: List[PairOutcome] = []
-    for row_offset in range(rows_done):
-        mask_row = mask_block[row_offset].tolist()
-        path_row = path_block[row_offset].tolist()
-        position = start + row_offset
-        row_index = position if row_lookup is None else row_lookup[position]
-        primary_id = ids[row_index]
-        if primary_id in broken:
-            row = [
-                _unusable_outcome(primary_id, reference_id, broken)
-                for reference_id in reference_ids
-            ]
-        else:
-            matrices: Any = repeat(None)
-            if percentages:
-                cells_row = (
-                    areas[row_offset]
-                    if column_positions is None
-                    else areas[row_offset, columns]
-                ).tolist()
-                matrices = map(matrix_of, mask_row, path_row, cells_row)
-            row = list(
-                map(
-                    new_outcome,
-                    repeat(PairOutcome),
-                    zip(
-                        repeat(primary_id),
-                        reference_ids,
-                        repeat(REPAIRED)
-                        if primary_id in repairs
-                        else column_statuses,
-                        map(relation_of, mask_row),
-                        matrices,
-                        repeat(None),
-                        map(path_name_of, path_row),
-                    ),
-                )
-            )
-            for slot in unanswered[row_offset]:
-                reference_id = reference_ids[slot]
-                row[slot] = (
-                    _unusable_outcome(primary_id, reference_id, broken)
-                    if reference_id in broken
-                    else PairOutcome(
-                        primary_id,
-                        reference_id,
-                        FAILED,
-                        error="plane kernel produced an empty tile mask",
-                    )
-                )
-        if not include_self:
-            for slot in reversed(slots_of.get(row_index, [])):
-                del row[slot]
-        outcomes += row
-    return outcomes
-
-
 @dataclass
 class _Sweep:
     """One sweep's constant state, as the parent holds it.
 
-    Row positions address ``primary_ids``, the restricted row list, and
-    references keep the caller's order; ``row_index`` /
-    ``column_index`` give their plane rows (``None``: every region, in
-    configuration order).  ``plane`` is set for a plane engine only.
+    Every row is written into ``table``, whose rows are the restricted
+    primaries and whose columns the references, in the caller's order;
+    ``row_index`` / ``column_index`` give their plane rows (``None``:
+    every region, in configuration order).  ``plane`` is set for a plane
+    engine only.  It holds the geometry as validated, so its rows are
+    labelled from the repairs and unusable regions known when it was
+    built, not from what a per-pair retry repairs later.
     """
 
-    all_ids: List[str]
-    primary_ids: List[str]
-    reference_ids: List[str]
-    row_index: Optional[Tuple[int, ...]]
-    column_index: Optional[Tuple[int, ...]]
+    table: OutcomeTable
     include_self: bool
     percentages: bool
     healthy: Dict[str, Region]
@@ -962,58 +943,74 @@ class _Sweep:
     backend: Engine
     repair: bool
     policy: RetryPolicy
-    plane: Optional[GeometryPlane]
+    plane: Optional[GeometryPlane] = None
+    row_index: Optional[Tuple[int, ...]] = None
+    column_index: Optional[Tuple[int, ...]] = None
 
-    def region_rows(self, start: int, stop: int) -> List[PairOutcome]:
-        """Rows ``[start, stop)`` through the per-pair :func:`_sweep_rows`."""
-        return _sweep_rows(
-            self.primary_ids[start:stop],
-            self.reference_ids,
-            include_self=self.include_self,
-            healthy=self.healthy,
-            boxes=self.boxes,
-            repairs=self.repairs,
-            broken=self.broken,
-            backend=self.backend,
-            percentages=self.percentages,
-            repair=self.repair,
-            policy=self.policy,
+    def __post_init__(self) -> None:
+        self.plane_repaired = frozenset(self.repairs)
+        self.plane_broken = dict(self.broken)
+        self.column_codes = np.array(
+            [reference_id in self.repairs for reference_id in self.table.reference_ids],
+            dtype=np.uint8,
         )
 
-    def plane_rows(
-        self, start: int, rows_done: int, block: tuple
-    ) -> List[PairOutcome]:
-        """The answered rows of a :func:`_plane_block` result."""
-        return _assemble_plane_rows(
-            *block,
-            start=start,
-            rows_done=rows_done,
-            all_ids=self.all_ids,
-            include_self=self.include_self,
-            repairs=self.repairs,
-            broken=self.broken,
-            percentages=self.percentages,
-            row_lookup=self.row_index,
-            column_positions=self.column_index,
+    def plane_rows(self, start: int, rows_done: int, block: tuple) -> None:
+        """Copy the answered rows of a :func:`_plane_block` result in.
+
+        Their pairs are ``OK``, or ``REPAIRED`` with a repaired region;
+        a pair with an empty mask — an unusable region's, or a kernel
+        miss — fails, with the text saying which.
+        """
+        table = self.table
+        stop = start + rows_done
+        columns: Any = (
+            slice(None) if self.column_index is None else list(self.column_index)
         )
+        masks, paths, areas = (
+            None if block_part is None else block_part[:rows_done, columns]
+            for block_part in block
+        )
+        table.masks[start:stop] = masks
+        table.paths[start:stop] = paths
+        if areas is not None:
+            if table.areas is None:
+                table.areas = np.zeros(table.masks.shape + (9,))
+            table.areas[start:stop] = areas
+        repaired = [
+            primary_id in self.plane_repaired
+            for primary_id in table.primary_ids[start:stop]
+        ]
+        status = table.status[start:stop]
+        status[...] = np.where(
+            masks == 0,
+            _FAILED_CODE,
+            np.maximum(np.array(repaired, np.uint8)[:, None], self.column_codes),
+        )
+        for row in range(start, stop):
+            status[row - start, table.absent.get(row, [])] = _ABSENT
+        for offset, column in zip(*np.nonzero(status == _FAILED_CODE)):
+            row, column = start + int(offset), int(column)
+            table.errors.setdefault(row, {})[column] = _unusable_text(
+                table.primary_ids[row], table.reference_ids[column], self.plane_broken
+            ) or "plane kernel produced an empty tile mask"
 
 
 def _inline_rows(
     sweep: _Sweep, start: int, stop: int, *, attempt: int = 0
-) -> List[PairOutcome]:
+) -> None:
     """Rows ``[start, stop)`` of the row list, swept in the parent.
 
     A plane engine runs the pool's chunk function, :func:`_plane_block`,
     inline over chunks carved by :class:`_ChunkSizer` — so a percentage
     sweep holds one chunk's ``(rows, n, 9)`` area block at a time — and
-    assembles each block as the pool does.  A chunk whose kernel raised
+    copies each block in as the pool does.  A chunk whose kernel raised
     is replayed pair by pair through :func:`_sweep_rows`; the rows past
     an expired deadline go there too, which labels them ``DEADLINE``
     and counts the expiry once.  An engine without the plane sweeps
     every row through :func:`_sweep_rows`.  ``attempt`` reaches the
     ``batch.row`` fault-injection context.
     """
-    outcomes: List[PairOutcome] = []
     plane = sweep.plane
     if plane is not None:
         restriction = (sweep.row_index, sweep.column_index)
@@ -1033,21 +1030,20 @@ def _inline_rows(
                     sweep.backend, task, plane, restriction
                 )
             except ReproError:
-                outcomes += sweep.region_rows(start, start + size)
+                _sweep_rows(sweep, start, start + size)
                 start += size
                 continue
             sizer.observe(rows_done, time.process_time() - cpu_started)
-            outcomes += sweep.plane_rows(start, rows_done, block)
+            sweep.plane_rows(start, rows_done, block)
             start += rows_done
             if rows_done < size:
                 break  # the deadline expired: the rest is labelled below
-    outcomes += sweep.region_rows(start, stop)
-    return outcomes
+    _sweep_rows(sweep, start, stop)
 
 
 def _supervise_pool(
     sweep: _Sweep, *, workers: int, chunk_timeout: Optional[float]
-) -> Tuple[List[PairOutcome], Dict[str, int]]:
+) -> Dict[str, int]:
     """The one pool supervisor behind every ``workers=N`` sweep.
 
     One :class:`~concurrent.futures.ProcessPoolExecutor` lives across
@@ -1071,10 +1067,10 @@ def _supervise_pool(
     run inline through :func:`_inline_rows`, the serial path, which
     labels past-deadline pairs ``DEADLINE``.  Workers return partial
     blocks when their deadline slice expires; the unswept remainder is
-    requeued as a fresh chunk so the matrix is always complete.  The
-    final outcome list is reassembled in ascending row order, so
-    primary-major order is preserved exactly no matter which attempt
-    (or the inline fallback) answered which rows.
+    requeued as a fresh chunk so the matrix is always complete.  Every
+    answered chunk is written straight into its rows of ``sweep.table``,
+    whichever attempt (or the inline fallback) answered it.  Returns
+    the supervision counts.
     """
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
@@ -1087,13 +1083,13 @@ def _supervise_pool(
     policy = sweep.policy
     engine_spec = backend.worker_spec()
     deadline = current_deadline()
-    total_rows = len(sweep.primary_ids)
+    total_rows = len(sweep.table.primary_ids)
     regions = (
         None
         if sweep.plane is not None
         else (
-            sweep.primary_ids,
-            sweep.reference_ids,
+            sweep.table.primary_ids,
+            sweep.table.reference_ids,
             sweep.healthy,
             sweep.boxes,
             sweep.repairs,
@@ -1104,7 +1100,6 @@ def _supervise_pool(
     )
     sizer = _ChunkSizer(total_rows, workers)
     stats = {"worker_failures": 0, "chunk_retries": 0, "inline_chunks": 0}
-    completed: List[Tuple[int, List[PairOutcome]]] = []
     retry_queue: List[_Chunk] = []
     exhausted: List[_Chunk] = []
     in_flight: Dict[Any, _Chunk] = {}
@@ -1184,12 +1179,11 @@ def _supervise_pool(
         if rows_done > 0:
             sizer.observe(rows_done, cpu_seconds)
             if sweep.plane is None:
-                plain, new_repairs = block
-                chunk_outcomes = list(map(PairOutcome._make, plain))
+                chunk_table, new_repairs = block
+                sweep.table.paste(chunk.start, chunk_table)
                 sweep.repairs.update(new_repairs)
             else:
-                chunk_outcomes = sweep.plane_rows(chunk.start, rows_done, block)
-            completed.append((chunk.start, chunk_outcomes))
+                sweep.plane_rows(chunk.start, rows_done, block)
         if rows_done < chunk.rows:
             # The worker's deadline slice expired mid-chunk; requeue the
             # unswept remainder — under a live parent deadline it is
@@ -1352,22 +1346,10 @@ def _supervise_pool(
                 primaries=record.rows,
                 inline=True,
             ):
-                completed.append(
-                    (
-                        record.start,
-                        _inline_rows(
-                            sweep,
-                            record.start,
-                            record.stop,
-                            attempt=policy.max_attempts,
-                        ),
-                    )
+                _inline_rows(
+                    sweep, record.start, record.stop, attempt=policy.max_attempts
                 )
-    completed.sort(key=lambda item: item[0])
-    outcomes: List[PairOutcome] = []
-    for _, chunk_outcomes in completed:
-        outcomes.extend(chunk_outcomes)
-    return outcomes, stats
+    return stats
 
 
 def batch_relations(
@@ -1504,10 +1486,11 @@ def batch_relations(
             workers=workers or 1,
             percentages=percentages,
         ) as batch_span:
+            table = OutcomeTable(
+                primary_ids, reference_ids, include_self=include_self
+            )
             sweep = _Sweep(
-                all_ids=all_ids,
-                primary_ids=primary_ids,
-                reference_ids=reference_ids,
+                table=table,
                 row_index=(
                     None
                     if primaries is None
@@ -1534,20 +1517,19 @@ def batch_relations(
                 ),
             )
             if workers is not None and workers > 1 and len(primary_ids) > 1:
-                outcomes, supervision = _supervise_pool(
+                supervision = _supervise_pool(
                     sweep, workers=workers, chunk_timeout=chunk_timeout
                 )
             else:
                 with obs.span(
                     "batch.chunk", chunk=0, primaries=len(primary_ids)
                 ):
-                    outcomes = _inline_rows(sweep, 0, len(primary_ids))
-            tally = Counter(map(attrgetter("status"), outcomes))
-            failed = len(outcomes) - tally[OK] - tally[REPAIRED]
+                    _inline_rows(sweep, 0, len(primary_ids))
+            tally = table.tally()
             deadline_hit = tally[DEADLINE] > 0
             batch_span.set(
-                pairs=len(outcomes),
-                failed=failed,
+                pairs=table.size,
+                failed=tally[FAILED] + tally[DEADLINE],
                 deadline_hit=deadline_hit,
                 worker_failures=supervision["worker_failures"],
             )
@@ -1561,7 +1543,7 @@ def batch_relations(
             if tally[status]:
                 counter.inc(tally[status], status=status)
     return BatchReport(
-        outcomes,
+        table,
         repairs,
         broken,
         engine=backend.name,
@@ -1574,23 +1556,18 @@ def batch_relations(
 
 
 def _retry_after_repair(
-    primary_id: str,
-    reference_id: str,
-    healthy: Dict[str, Region],
-    boxes: Dict[str, BoundingBox],
-    repairs: Dict[str, RepairReport],
-    broken: Dict[str, str],
-    *,
-    engine: Engine,
-    percentages: bool,
-) -> Optional[PairOutcome]:
+    sweep: _Sweep, primary_id: str, reference_id: str
+) -> Optional[_Answer]:
     """Repair both operands and recompute a failed pair once.
 
-    Mutates the shared ``healthy`` / ``boxes`` / ``repairs`` maps so
+    Mutates the sweep's ``healthy`` / ``boxes`` / ``repairs`` maps so
     later pairs reuse the repaired geometry.  Returns ``None`` when the
     repair fails or the recomputation still raises — the caller then
     records the *original* error.
     """
+    healthy, boxes, repairs, broken = (
+        sweep.healthy, sweep.boxes, sweep.repairs, sweep.broken
+    )
     for region_id in (primary_id, reference_id):
         if region_id in repairs:
             continue
@@ -1606,16 +1583,9 @@ def _retry_after_repair(
         relation, matrix, path = _compute_pair(
             healthy[primary_id],
             boxes[reference_id],
-            engine=engine,
-            percentages=percentages,
+            engine=sweep.backend,
+            percentages=sweep.percentages,
         )
     except ReproError:
         return None
-    return PairOutcome(
-        primary_id,
-        reference_id,
-        REPAIRED,
-        relation=relation,
-        percentages=matrix,
-        path=path,
-    )
+    return (REPAIRED, relation, matrix, None, path)

@@ -7,6 +7,7 @@ Every ``sweep`` of a plane engine (``Engine.supports_plane``) runs
 index, with no :class:`~repro.geometry.region.Region` objects left::
 
     offsets  int64   (n+1)    per-region edge ranges (broken rows empty)
+    rings    int64   (P)      each polygon's first edge, in edge order
     boxes    float64 (n, 4)   mbb per region: min_x, max_x, min_y, max_y
     health   uint8   (n)      1 = usable, 0 = broken (box row is NaN)
     x1 y1 x2 y2  float64 (E)  edge endpoints, concatenated in id order
@@ -72,6 +73,7 @@ class GeometryPlane:
         *,
         ids: Tuple[str, ...],
         offsets: np.ndarray,
+        rings: np.ndarray,
         boxes: np.ndarray,
         health: np.ndarray,
         x1: np.ndarray,
@@ -81,6 +83,7 @@ class GeometryPlane:
     ) -> None:
         self.ids = ids
         self.offsets = offsets
+        self.rings = rings
         self.boxes = boxes
         self.health = health
         self.x1 = x1
@@ -109,6 +112,7 @@ class GeometryPlane:
         offsets = np.zeros(n + 1, dtype=np.int64)
         box_rows = np.full((n, 4), np.nan, dtype=np.float64)
         health = np.zeros(n, dtype=np.uint8)
+        rings: list = []
         x1_all: list = []
         y1_all: list = []
         x2_all: list = []
@@ -119,6 +123,10 @@ class GeometryPlane:
                 offsets[index + 1] = offsets[index]
                 continue
             x1_list, y1_list, x2_list, y2_list = _region_edges(region)
+            edge = len(x1_all)
+            for polygon in region.polygons:
+                rings.append(edge)
+                edge += len(polygon.vertices)
             x1_all.extend(x1_list)
             y1_all.extend(y1_list)
             x2_all.extend(x2_list)
@@ -135,6 +143,7 @@ class GeometryPlane:
         return cls(
             ids=tuple(all_ids),
             offsets=offsets,
+            rings=np.asarray(rings, dtype=np.int64),
             boxes=box_rows,
             health=health,
             x1=np.asarray(x1_all, dtype=np.float64),
@@ -162,6 +171,13 @@ class GeometryPlane:
         if self._healthy_columns is None:
             self._healthy_columns = np.nonzero(self.health)[0]
         return self._healthy_columns
+
+    def ring_starts(self, row: int) -> np.ndarray:
+        """The first edge of each of a row's polygons, counted from the
+        row's own first edge."""
+        first, last = self.edge_slice(row)
+        lo, hi = np.searchsorted(self.rings, (first, last))
+        return self.rings[lo:hi] - first
 
     def edge_slice(self, row: int) -> Tuple[int, int]:
         """The ``[start, stop)`` edge-array range of one region row."""

@@ -93,18 +93,13 @@ _B_MASK = np.uint16(1 << int(Tile.B))
 _NO_BAND = 2
 
 
-#: One 100 %-in-one-tile matrix per tile, shared by every pruned pair.
-_PRUNE_MATRICES: Dict[Tile, PercentageMatrix] = {
-    tile: PercentageMatrix({tile: 100}) for tile in Tile
+#: The 100 %-in-one-tile matrix of a pair pruned to each tile: one shared
+#: object per tile, with float cells (``100.0`` / ``0.0``) like every
+#: matrix the kernels compute, so a sweep report never mixes cell types.
+PRUNE_MATRICES: Dict[Tile, PercentageMatrix] = {
+    tile: PercentageMatrix({t: 100.0 if t is tile else 0.0 for t in Tile})
+    for tile in Tile
 }
-
-
-def prune_matrix(tile: Tile) -> PercentageMatrix:
-    """The exact 100 %-in-one-tile percentage matrix of a pruned pair.
-
-    The same immutable object for every pair pruned to ``tile``.
-    """
-    return _PRUNE_MATRICES[tile]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +212,7 @@ def _points_in_region(
     y2: np.ndarray,
     px: np.ndarray,
     py: np.ndarray,
+    ring_starts: np.ndarray,
 ) -> np.ndarray:
     """Boundary-inclusive even–odd membership of points in a region.
 
@@ -224,12 +220,11 @@ def _points_in_region(
     :func:`repro.geometry.predicates.point_in_ring` over every ring of
     a region — same float operations in the same order, so the plane
     sweep's centre-of-``mbb`` test agrees bit for bit with the per-pair
-    kernel's.  Even–odd parity is accumulated over *all* edges at once
-    instead of per polygon; for a validated region (pairwise-disjoint
-    polygon interiors, so no polygon can sit inside another) the parity
-    over the union of rings equals the per-polygon disjunction, and any
-    boundary case is caught by the on-segment test first, exactly as in
-    the scalar predicate.
+    kernel's.  Even–odd parity is taken per ring (``ring_starts`` are
+    the rings' first edges) and the rings' answers are ORed, so a
+    region whose polygons overlap — which a store does not reject —
+    gets the per-pair kernel's answer too; any boundary case is caught
+    by the on-segment test first, exactly as in the scalar predicate.
     """
     ax, ay = x1[:, None], y1[:, None]
     bx, by = x2[:, None], y2[:, None]
@@ -254,8 +249,8 @@ def _points_in_region(
         ((dy > 0) & (x_cross_num > cx * dy))
         | ((dy < 0) & (x_cross_num < cx * dy))
     )
-    odd = (np.count_nonzero(toggles, axis=0) % 2).astype(bool)
-    return odd | np.any(on_segment, axis=0)
+    odd = np.logical_xor.reduceat(toggles, ring_starts, axis=0)
+    return np.any(odd, axis=0) | np.any(on_segment, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +308,7 @@ class SweepEngine(Engine):
     def _percentages(self, primary, box):
         tile = single_tile_prune(primary.bounding_box(), box)
         if tile is not None:
-            return prune_matrix(tile), PRUNE_PATH
+            return PRUNE_MATRICES[tile], PRUNE_PATH
         matrix = PercentageMatrix.from_areas(
             tile_areas_fast(primary, box, arrays=self.edge_arrays(primary))
         )
@@ -473,6 +468,7 @@ class SweepEngine(Engine):
                         y2[edge_first:edge_last],
                         centre_x,
                         centre_y,
+                        plane.ring_starts(row),
                     )
                     kernel_masks[missing_b[inside]] |= _B_MASK
                 row_masks[pending_at] = kernel_masks

@@ -290,3 +290,71 @@ class TestEngineSpawn:
         name, options = engine.worker_spec()
         rebuilt = create_engine(name, **options)
         assert rebuilt.epsilon == 1e-3
+
+
+def _rectangle(min_x, min_y, max_x, max_y):
+    from repro.geometry.point import Point
+    from repro.geometry.polygon import Polygon
+
+    return Polygon(
+        (
+            Point(min_x, min_y),
+            Point(min_x, max_y),
+            Point(max_x, max_y),
+            Point(max_x, min_y),
+        )
+    )
+
+
+class TestPruneCells:
+    """A pruned pair's matrix has float cells, like every matrix the
+    kernels compute, so one sweep report never mixes cell types."""
+
+    def test_pruned_matrix_cells_and_text_match_the_exact_engine(self):
+        from repro.cardirect.xmlio import format_percentages
+        from repro.geometry.region import Region
+
+        a = Region.from_polygon(_rectangle(0.5, 2.5, 10.5, 8.5))
+        b = Region.from_polygon(_rectangle(20.5, 0.5, 30.5, 10.5))
+        configuration = Configuration.from_regions(
+            [AnnotatedRegion("a", a), AnnotatedRegion("b", b)]
+        )
+        assert single_tile_prune(a.bounding_box(), b.bounding_box()) is Tile.W
+        exact = create_engine("exact").percentages(a, b.bounding_box())
+        per_pair = SweepEngine().percentages(a, b.bounding_box())
+        report = batch_relations(
+            configuration, engine="sweep", percentages=True
+        )
+        plane = report.outcomes[0].percentages
+        assert report.outcomes[0].path == PRUNE_PATH
+        for matrix in (per_pair, plane):
+            assert all(type(matrix[tile]) is float for tile in Tile)
+            assert format_percentages(matrix) == format_percentages(exact)
+        assert format_percentages(plane) == (
+            "0.0 0.0 0.0 100.0 0.0 0.0 0.0 0.0 0.0"
+        )
+
+
+class TestOverlappingPolygons:
+    """A store does not validate, so a region may hold two overlapping
+    polygons.  The plane's centre-of-mbb test must OR the polygons'
+    even-odd answers like the per-pair kernels, not take parity over
+    all their edges at once (which the overlap cancels out)."""
+
+    def test_full_fill_keeps_b_like_relation(self):
+        from repro.cardirect.store import RelationStore
+        from repro.core.compute import compute_cdr
+        from repro.geometry.region import Region
+
+        a = Region((_rectangle(0, 0, 10, 10), _rectangle(4, 4, 14, 14)))
+        b = Region.from_polygon(_rectangle(6, 6, 8, 8))
+        configuration = Configuration.from_regions(
+            [AnnotatedRegion("a", a), AnnotatedRegion("b", b)]
+        )
+        expected = compute_cdr(a, b)
+        assert Tile.B in expected.tiles
+        pair_store = RelationStore(configuration, engine="sweep")
+        assert pair_store.relation("a", "b") == expected
+        filled = RelationStore(configuration, engine="sweep")
+        relations = {(p, r): rel for p, r, rel in filled.all_relations()}
+        assert relations[("a", "b")] == expected
