@@ -40,7 +40,6 @@ from repro.core import (
     DirectionRelationMatrix,
     DisjunctiveCD,
     Engine,
-    EngineEvent,
     EngineStats,
     PercentageMatrix,
     Tile,
@@ -88,7 +87,6 @@ __all__ = [
     "RelativePosition",
     # compute engines
     "Engine",
-    "EngineEvent",
     "EngineStats",
     "available_engines",
     "create_engine",

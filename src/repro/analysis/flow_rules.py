@@ -665,11 +665,9 @@ def _deadline_source_primitive(node: ast.AST) -> bool:
         if isinstance(name, ast.Attribute) and name.attr == "DeadlineExceeded":
             return True
     if isinstance(node, ast.Call):
-        callee = _callee_name(node)
-        if callee in ("check", "_timed", "relation", "percentages"):
-            return isinstance(node.func, ast.Attribute)
-        if callee == "result":
-            return isinstance(node.func, ast.Attribute)
+        return _callee_name(node) in _DEADLINE_SOURCE_CALLS and isinstance(
+            node.func, ast.Attribute
+        )
     return False
 
 

@@ -276,7 +276,7 @@ def _walk_with_function_scope(
 #: ``Engine.__init__`` keywords every backend shares; extra ``__init__``
 #: parameters are tunables that must survive ``spawn()`` via
 #: ``clone_options()``.
-_BASE_ENGINE_PARAMETERS = frozenset({"self", "observer", "edge_cache_size"})
+_BASE_ENGINE_PARAMETERS = frozenset({"self", "edge_cache_size"})
 
 
 class EngineContractRule(Rule):
@@ -687,9 +687,9 @@ def _missing_annotations(
 class ExceptCounterRule(Rule):
     """Broad exception handlers must re-raise or count what they ate.
 
-    The fault-isolation paths (batch executor, engine observer shield,
-    repair pipeline) deliberately survive failures — which is only safe
-    while every swallowed exception is visible somewhere.  A bare
+    The fault-isolation paths (batch executor, repair pipeline)
+    deliberately survive failures — which is only safe while every
+    swallowed exception is visible somewhere.  A bare
     ``except:`` or ``except Exception:`` that neither re-raises nor
     records an error counter (an ``.inc(...)`` on an obs counter or a
     ``*_errors`` attribute) turns fault isolation into fault erasure.
@@ -725,7 +725,7 @@ class ExceptCounterRule(Rule):
                     "except Exception on a fault-isolation path must "
                     "re-raise or record an obs error counter "
                     "(e.g. registry.counter(...).inc() or "
-                    "stats.observer_errors += 1)",
+                    "self.parse_errors += 1)",
                 )
 
 

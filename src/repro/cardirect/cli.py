@@ -989,16 +989,11 @@ EXIT_INTERRUPTED = 130
 
 def main(argv: Optional[List[str]] = None) -> int:
     arguments = _build_parser().parse_args(argv)
-    trace_path = getattr(arguments, "trace", None)
-    metrics_path = getattr(arguments, "metrics", None)
-    profile_path = getattr(arguments, "profile", None)
-    events_path = getattr(arguments, "events", None)
-    if (
-        trace_path is None
-        and metrics_path is None
-        and profile_path is None
-        and events_path is None
-    ):
+    paths = {
+        sink: getattr(arguments, sink, None)
+        for sink in ("trace", "metrics", "profile", "events")
+    }
+    if not any(paths.values()):
         try:
             return _dispatch(arguments)
         except KeyboardInterrupt:
@@ -1007,20 +1002,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro import obs
 
-    tracer = obs.Tracer() if trace_path else None
-    registry = obs.MetricsRegistry() if metrics_path else None
-    profiler = obs.SamplingProfiler() if profile_path else None
-    events_log = obs.EventLog() if events_path else None
+    sinks = obs.fresh_sinks({sink: {} for sink, path in paths.items() if path})
     status = EXIT_INTERRUPTED
     try:
-        with obs.tracing(tracer) if tracer else _noop(), (
-            obs.collecting(registry) if registry else _noop()
-        ), (obs.profiling(profiler) if profiler else _noop()), (
-            obs.emitting(events_log) if events_log else _noop()
-        ):
-            with obs.span(f"cli.{arguments.command}") as root:
-                status = _dispatch(arguments)
-                root.set(status=status)
+        with sinks, obs.span(f"cli.{arguments.command}") as root:
+            status = _dispatch(arguments)
+            root.set(status=status)
     except KeyboardInterrupt:
         # Ctrl-C mid-run: one clean line, the conventional exit code,
         # and whatever trace/metrics were collected still land on disk
@@ -1029,66 +1016,41 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("interrupted", file=sys.stderr)
         status = EXIT_INTERRUPTED
     finally:
-        _flush_observability(
-            tracer,
-            trace_path,
-            registry,
-            metrics_path,
-            profiler,
-            profile_path,
-            events_log,
-            events_path,
-        )
+        _flush_observability(sinks, paths)
     return status
 
 
-def _flush_observability(
-    tracer,
-    trace_path,
-    registry,
-    metrics_path,
-    profiler=None,
-    profile_path=None,
-    events_log=None,
-    events_path=None,
-) -> None:
-    """Write collected spans/metrics/profile/events; never raise (runs
-    on Ctrl-C too)."""
+def _flush_observability(sinks, paths) -> None:
+    """Write the collected spans/metrics/profile/events to their
+    ``paths``; never raise (runs on Ctrl-C too)."""
     try:
-        if tracer is not None:
-            tracer.export_jsonl(trace_path)
+        if sinks.tracer is not None:
+            sinks.tracer.export_jsonl(paths["trace"])
             print(
-                f"trace: {len(tracer.spans)} spans written to {trace_path}",
+                f"trace: {len(sinks.tracer.spans)} spans written to {paths['trace']}",
                 file=sys.stderr,
             )
-        if registry is not None:
-            if metrics_path.endswith(".json"):
-                registry.export_json(metrics_path)
+        if sinks.metrics is not None:
+            if paths["metrics"].endswith(".json"):
+                sinks.metrics.export_json(paths["metrics"])
             else:
-                registry.export_prometheus(metrics_path)
-            print(f"metrics written to {metrics_path}", file=sys.stderr)
-        if profiler is not None:
-            profiler.stop()
-            profiler.export_folded(profile_path)
+                sinks.metrics.export_prometheus(paths["metrics"])
+            print(f"metrics written to {paths['metrics']}", file=sys.stderr)
+        if sinks.profiler is not None:
+            sinks.profiler.export_folded(paths["profile"])
             print(
-                f"profile: {profiler.samples} samples written to "
-                f"{profile_path}",
+                f"profile: {sinks.profiler.samples} samples written to "
+                f"{paths['profile']}",
                 file=sys.stderr,
             )
-        if events_log is not None:
-            events_log.export_jsonl(events_path)
+        if sinks.events is not None:
+            sinks.events.export_jsonl(paths["events"])
             print(
-                f"events: {len(events_log.events)} written to {events_path}",
+                f"events: {len(sinks.events.events)} written to {paths['events']}",
                 file=sys.stderr,
             )
     except OSError as error:
         print(f"error: observability flush failed: {error}", file=sys.stderr)
-
-
-def _noop():
-    from contextlib import nullcontext
-
-    return nullcontext()
 
 
 def _dispatch(arguments: argparse.Namespace) -> int:

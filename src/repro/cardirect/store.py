@@ -67,7 +67,7 @@ class RelationStore:
         a registered engine name (``"exact"`` default, ``"fast"``,
         ``"guarded"``, ``"clipping"``, or any third-party registration)
         or an :class:`~repro.core.engine.Engine` instance (e.g. one
-        carrying a custom ``epsilon`` or an observer hook).  The store
+        carrying a custom ``epsilon``).  The store
         routes every :meth:`relation` / :meth:`percentages` miss through
         it against the cached reference mbb, and its telemetry is
         readable as :attr:`engine_stats`.
@@ -307,9 +307,9 @@ class RelationStore:
         store's configuration, defaulting the compute engine to a fresh
         instance of the store's own — via
         :meth:`~repro.core.engine.Engine.spawn`, so a custom engine's
-        configuration (a guarded ladder's ``epsilon``, an attached
-        observer) carries over while the report's ``engine_stats``
-        still cover exactly the sweep.  Accepts the same keyword
+        configuration (a guarded ladder's ``epsilon``) carries over
+        while the report's ``engine_stats`` still cover exactly the
+        sweep.  Accepts the same keyword
         arguments; returns a :class:`~repro.core.batch.BatchReport`.
         """
         from repro.core.batch import batch_relations

@@ -28,7 +28,6 @@ from repro.core.batch import BatchReport, PairOutcome, batch_relations
 from repro.core.compute import compute_cdr
 from repro.core.engine import (
     Engine,
-    EngineEvent,
     EngineStats,
     available_engines,
     create_engine,
@@ -77,7 +76,6 @@ __all__ = [
     "BatchReport",
     "PairOutcome",
     "Engine",
-    "EngineEvent",
     "EngineStats",
     "available_engines",
     "create_engine",

@@ -56,10 +56,9 @@ Two execution paths share the isolation machinery:
 When the observability subsystem (:mod:`repro.obs`) has sinks
 installed, the sweep is traced end to end: a ``batch.relations`` root
 span, one ``batch.chunk`` span per chunk (serial sweeps are one
-chunk), and — under ``workers=N`` — per-worker spans recorded inside
-each worker process, serialised back with the outcomes and grafted
-into the parent's trace, with worker metrics merged into the installed
-registry.
+chunk), and — under ``workers=N`` — whatever each worker records into
+the fresh sinks it opens, shipped back with the chunk and grafted into
+the installed ones (:mod:`repro.obs.channel`).
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ import gc
 import os
 import time
 from collections.abc import Sequence as SequenceABC
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, repeat
 from operator import eq, itemgetter
@@ -80,7 +78,6 @@ from repro import obs
 
 from repro.cardirect.model import Configuration
 from repro.core.engine import Engine, EngineLike, EngineStats, create_engine, resolve_engine
-from repro.core.guarded import DEFAULT_EPSILON
 from repro.core.matrix import PercentageMatrix
 from repro.core.plane import GeometryPlane
 from repro.core.relation import RELATIONS_BY_MASK, CardinalDirection
@@ -496,23 +493,6 @@ def _compute_pair(
     return relation, matrix, path
 
 
-def _resolve_batch_engine(engine: EngineLike, epsilon: float) -> Engine:
-    """An :class:`Engine` for one sweep.
-
-    Accepts an instance as-is; a name creates a fresh instance so the
-    report's stats cover exactly this batch.  ``epsilon`` is forwarded
-    to the guarded ladder (the only built-in engine that takes one).
-    """
-    if isinstance(engine, Engine):
-        return engine
-    if engine == "guarded":
-        return create_engine("guarded", epsilon=epsilon)
-    try:
-        return resolve_engine(engine)
-    except ValueError as error:
-        raise ValueError(f"compute engine selection failed: {error}") from None
-
-
 def _try_repair_into(
     region_id: str,
     region: Region,
@@ -836,23 +816,20 @@ def _region_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
 def _pool_chunk(task: dict) -> tuple:
     """One index-range chunk in a pool worker.
 
-    The task dict carries nothing but indices and flags — the geometry
-    was installed by :func:`_pool_init`.  A fresh engine per chunk,
-    recreated from its ``(name, options)`` spec (under fork the worker
-    inherits every :func:`~repro.core.engine.register_engine` made
-    before the pool started), keeps the stats snapshot scoped to this
-    dispatch (re-dispatched chunks must not double-count).  Returns
-    ``(rows_done, block, cpu_seconds, stats, spans, metrics, profile,
-    events)``: the :func:`_plane_block` / :func:`_region_block` result,
-    the chunk's CPU cost (feeding the adaptive sizer), a detached
-    :meth:`~repro.core.engine.EngineStats.as_dict` snapshot and — when
-    the parent had a tracer / metrics registry / sampling profiler /
-    event log installed — the worker's serialised spans, metrics
-    snapshot, folded-stack counts and event records.  The parent grafts
-    the spans into its own trace, merges the metrics and profile, and
-    ingests the events, so ``workers=N`` loses no telemetry to the
-    process boundary (observers excepted; see
-    :meth:`~repro.core.engine.Engine.worker_spec`).
+    The task dict carries nothing but indices, flags and the parent's
+    :func:`~repro.obs.sink_spec` — the geometry was installed by
+    :func:`_pool_init`.  A fresh engine per chunk, recreated from its
+    ``(name, options)`` spec (under fork the worker inherits every
+    :func:`~repro.core.engine.register_engine` made before the pool
+    started), keeps the stats snapshot scoped to this dispatch
+    (re-dispatched chunks must not double-count).  Returns
+    ``(rows_done, block, cpu_seconds, stats, telemetry)``: the
+    :func:`_plane_block` / :func:`_region_block` result, the chunk's CPU
+    cost (feeding the adaptive sizer), a detached
+    :meth:`~repro.core.engine.EngineStats.as_dict` snapshot and what the
+    worker's fresh sinks recorded, which the parent grafts into its own
+    (:func:`~repro.obs.graft`), so ``workers=N`` loses no telemetry to
+    the process boundary.
     """
     chunk_index = task["chunk_index"]
     attempt = task["attempt"]
@@ -861,46 +838,25 @@ def _pool_chunk(task: dict) -> tuple:
     backend = create_engine(engine_name, **engine_options)
     plane = _WORKER["plane"]
     rows = task["stop"] - task["start"]
-    worker_label = f"worker-{chunk_index}"
-    tracer = obs.Tracer(worker=worker_label) if task.get("trace") else None
-    registry = obs.MetricsRegistry() if task.get("collect_metrics") else None
-    profiler = obs.SamplingProfiler() if task.get("profile") else None
-    events_spec = task.get("events")
-    events_log = (
-        obs.EventLog(
-            slow_op_budgets=events_spec.get("budgets"),
-            default_slow_op_budget=events_spec.get("default"),
-            worker=worker_label,
-        )
-        if events_spec
-        else None
-    )
     started = time.perf_counter()
     cpu_started = time.process_time()
-    with obs.tracing(tracer) if tracer is not None else nullcontext():
-        with obs.collecting(registry) if registry is not None else nullcontext():
-            with obs.emitting(events_log) if events_log is not None else nullcontext():
-                with profiler if profiler is not None else nullcontext():
-                    with obs.span(
-                        "batch.worker",
-                        chunk=chunk_index,
-                        attempt=attempt,
-                        pid=os.getpid(),
-                        primaries=rows,
-                    ):
-                        with obs.span(
-                            "batch.chunk", chunk=chunk_index, primaries=rows
-                        ):
-                            with deadline_scope(task.get("deadline_seconds")):
-                                rows_done, block = (
-                                    _region_block(backend, task)
-                                    if plane is None
-                                    else _plane_block(
-                                        backend, task, plane, _WORKER["restriction"]
-                                    )
-                                )
-                                if rows_done < rows:
-                                    count_deadline_exceeded("batch.sweep")
+    with obs.fresh_sinks(task["obs"], worker=f"worker-{chunk_index}") as sinks:
+        with obs.span(
+            "batch.worker",
+            chunk=chunk_index,
+            attempt=attempt,
+            pid=os.getpid(),
+            primaries=rows,
+        ):
+            with obs.span("batch.chunk", chunk=chunk_index, primaries=rows):
+                with deadline_scope(task.get("deadline_seconds")):
+                    rows_done, block = (
+                        _region_block(backend, task)
+                        if plane is None
+                        else _plane_block(backend, task, plane, _WORKER["restriction"])
+                    )
+                    if rows_done < rows:
+                        count_deadline_exceeded("batch.sweep")
     elapsed = time.perf_counter() - started
     # CPU seconds, not wall: under N-way contention the wall latency of
     # a chunk inflates with the worker count, and sizing chunks from it
@@ -913,10 +869,7 @@ def _pool_chunk(task: dict) -> tuple:
         block,
         cpu_seconds if cpu_seconds > 0.0 else elapsed,
         backend.stats.as_dict(),
-        tracer.to_payload() if tracer is not None else None,
-        registry.snapshot() if registry is not None else None,
-        profiler.to_payload() if profiler is not None else None,
-        events_log.to_payload() if events_log is not None else None,
+        sinks.payload(),
     )
 
 
@@ -1075,10 +1028,8 @@ def _supervise_pool(
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    tracer = obs.current_tracer()
+    sink_spec = obs.sink_spec()
     registry = obs.current_metrics()
-    profiler = obs.current_profiler()
-    events_log = obs.current_events()
     backend = sweep.backend
     policy = sweep.policy
     engine_spec = backend.worker_spec()
@@ -1118,24 +1069,17 @@ def _supervise_pool(
             "deadline_seconds": (
                 deadline.remaining() if deadline is not None else None
             ),
-            "trace": tracer is not None,
-            "collect_metrics": registry is not None,
-            "profile": profiler is not None,
-            "events": (
-                events_log.budget_spec() if events_log is not None else None
-            ),
+            "obs": sink_spec,
         }
 
-    def _count_lost(count: int, reason: str) -> None:
-        stats["worker_failures"] += count
+    def _lose(chunk: _Chunk, reason: str) -> None:
+        stats["worker_failures"] += 1
         if registry is not None:
             registry.counter(
                 "repro_worker_restart_total",
                 "Parallel batch chunk dispatches lost to worker failures.",
-            ).inc(count, reason=reason)
-        obs.emit("batch.worker_lost", "warning", count=count, reason=reason)
-
-    def _requeue(chunk: _Chunk) -> None:
+            ).inc(reason=reason)
+        obs.emit("batch.worker_lost", "warning", count=1, reason=reason)
         if chunk.attempt + 1 < policy.max_attempts:
             chunk.attempt += 1
             stats["chunk_retries"] += 1
@@ -1144,38 +1088,11 @@ def _supervise_pool(
         else:
             exhausted.append(chunk)
 
-    def _lose(chunk: _Chunk, reason: str) -> None:
-        _count_lost(1, reason)
-        _requeue(chunk)
-
     def _absorb(chunk: _Chunk, result: tuple) -> None:
         nonlocal next_index
-        (
-            rows_done,
-            block,
-            cpu_seconds,
-            stats_snapshot,
-            span_payload,
-            metrics_snapshot,
-            profile_payload,
-            events_payload,
-        ) = result
+        rows_done, block, cpu_seconds, stats_snapshot, telemetry = result
         backend.stats.merge(stats_snapshot)
-        span_id_map: Dict[str, str] = {}
-        if span_payload and tracer is not None:
-            tracer.ingest(
-                span_payload, worker=f"worker-{chunk.index}", id_map=span_id_map
-            )
-        if metrics_snapshot and registry is not None:
-            registry.merge(metrics_snapshot)
-        if profile_payload and profiler is not None:
-            profiler.merge(profile_payload)
-        if events_payload and events_log is not None:
-            events_log.ingest(
-                events_payload,
-                worker=f"worker-{chunk.index}",
-                span_map=span_id_map or None,
-            )
+        obs.graft(telemetry)
         if rows_done > 0:
             sizer.observe(rows_done, cpu_seconds)
             if sweep.plane is None:
@@ -1286,12 +1203,13 @@ def _supervise_pool(
             pool_broken = False
             for future in done:
                 finished = in_flight.pop(future)
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
+                error = future.exception()
+                if error is None:
+                    _absorb(finished, future.result())
+                elif isinstance(error, BrokenProcessPool):
                     _lose(finished, "broken_pool")
                     pool_broken = True
-                except DeadlineExceeded:
+                elif isinstance(error, DeadlineExceeded):
                     # The worker saw the deadline before the supervisor
                     # did.  Not a worker failure: re-dispatching would
                     # burn retry budget on a budget that is already
@@ -1300,25 +1218,12 @@ def _supervise_pool(
                     # DEADLINE.
                     count_deadline_exceeded("batch.pool")
                     exhausted.append(finished)
-                except Exception as error:
+                elif isinstance(error, Exception):
                     # The worker raised (e.g. an injected fault): the
                     # chunk is lost but the pool survives — no rebuild.
-                    stats["worker_failures"] += 1
-                    if registry is not None:
-                        registry.counter(
-                            "repro_worker_restart_total",
-                            "Parallel batch chunk dispatches lost "
-                            "to worker failures.",
-                        ).inc(reason=type(error).__name__)
-                    obs.emit(
-                        "batch.worker_lost",
-                        "warning",
-                        count=1,
-                        reason=type(error).__name__,
-                    )
-                    _requeue(finished)
+                    _lose(finished, type(error).__name__)
                 else:
-                    _absorb(finished, result)
+                    raise error  # KeyboardInterrupt / SystemExit: no chunk loss
             if pool_broken:
                 # A killed worker breaks the whole executor; every other
                 # in-flight dispatch goes down with it.
@@ -1360,7 +1265,6 @@ def batch_relations(
     engine: Optional[EngineLike] = None,
     repair: bool = True,
     validate: bool = True,
-    epsilon: float = DEFAULT_EPSILON,
     workers: Optional[int] = None,
     deadline: Optional[Union[Deadline, float]] = None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -1384,9 +1288,10 @@ def batch_relations(
     ``"guarded"`` (the exactness-fallback ladder), ``"clipping"``,
     ``"sweep"`` (prune + broadcast rows over the plane), or any third-party
     :func:`~repro.core.engine.register_engine` registration — or as an
-    :class:`~repro.core.engine.Engine` instance.  The engine's
-    :class:`~repro.core.engine.EngineStats` for the sweep are threaded
-    into the returned report.
+    :class:`~repro.core.engine.Engine` instance (a guarded ladder with
+    its own ``epsilon`` is ``create_engine("guarded", epsilon=...)``).
+    The engine's :class:`~repro.core.engine.EngineStats` for the sweep
+    are threaded into the returned report.
 
     With ``repair`` (default) invalid regions are repaired before use
     and failing pairs are retried on repaired geometry; with
@@ -1431,9 +1336,7 @@ def batch_relations(
             f"got {chunk_timeout!r}"
         )
     policy = retry_policy if retry_policy is not None else DEFAULT_BATCH_RETRY_POLICY
-    backend = _resolve_batch_engine(
-        "exact" if engine is None else engine, epsilon
-    )
+    backend = resolve_engine("exact" if engine is None else engine)
     healthy: Dict[str, Region] = {}
     repairs: Dict[str, RepairReport] = {}
     broken: Dict[str, str] = {}

@@ -17,15 +17,13 @@ both *against a precomputed reference mbb* (a region scans its edges for
 its mbb once; an engine never rescans a reference region's edges).
 Every engine instance carries a uniform :class:`EngineStats` record —
 call counts, wall-clock totals (:func:`time.perf_counter`), ladder path
-counts, cache-assist counts — and an optional observer hook that streams
-one :class:`EngineEvent` per completed operation to an external metrics
-sink.  When the observability subsystem (:mod:`repro.obs`) has a tracer
-or metrics registry installed, every operation is also reported there —
-a span named ``engine.<name>.<operation>`` and the
-``repro_engine_operations_total`` / ``repro_engine_operation_seconds``
-series — with no observer required (use
-:class:`repro.obs.EngineEventAdapter` to route events into *private*
-sinks instead).
+counts, cache-assist counts.  When the observability subsystem
+(:mod:`repro.obs`) has a tracer or metrics registry installed, every
+operation is also reported there — a span named
+``engine.<name>.<operation>`` and the ``repro_engine_operations_total`` /
+``repro_engine_operation_seconds`` series.  One method,
+:meth:`Engine._account`, feeds all three from the same per-path counts;
+a private sink is a scoped install (``with obs.tracing(tracer): ...``).
 
 Engines are looked up by name in a string-keyed registry:
 
@@ -43,9 +41,8 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.core.compute import compute_cdr_against_box
 from repro.core.matrix import PercentageMatrix
@@ -55,42 +52,16 @@ from repro.core.tiles import Tile, single_tile_prune
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.region import Region
 from repro.obs.metrics import current_metrics
-from repro.obs.trace import current_tracer
+from repro.obs.trace import AttributeValue, current_tracer
 from repro.resilience.deadline import current_deadline
 
 #: The two operations every engine implements.
 OPERATIONS = ("relation", "percentages")
 
-
-@dataclass(frozen=True)
-class EngineEvent:
-    """One completed engine operation, as delivered to observers.
-
-    ``count`` is the number of pairs the operation answered — 1 for the
-    per-pair protocol, the row length for each row of the sweep
-    engine's ``sweep_plane``.
-    """
-
-    engine: str
-    operation: str  # "relation" or "percentages"
-    seconds: float
-    path: Optional[str] = None  # ladder rung, for engines that have one
-    count: int = 1
-
-    def __str__(self) -> str:
-        suffix = f" via {self.path}" if self.path else ""
-        bulk = f" x{self.count}" if self.count != 1 else ""
-        return (
-            f"{self.engine}.{self.operation}{bulk}: "
-            f"{self.seconds * 1e3:.3f} ms{suffix}"
-        )
-
-
-#: External metrics sink: called once per completed operation.  An
-#: observer that raises does not abort the operation — the exception is
-#: swallowed and counted in ``EngineStats.observer_errors`` (telemetry
-#: must never take down the computation it watches).
-Observer = Callable[[EngineEvent], None]
+#: What answered one engine invocation (see :meth:`EngineStats.record`):
+#: one pair's path (``None`` for a single-path engine), or the
+#: ``{path: pairs}`` counts of an invocation that answered many pairs.
+Paths = Union[None, str, Mapping[str, int]]
 
 
 class EngineStats:
@@ -110,13 +81,11 @@ class EngineStats:
       :meth:`record_cache_assist`, e.g. the relation store's pair cache);
     * :attr:`edge_cache_hits` — engine calls served from the engine's
       own per-primary edge-array cache instead of rebuilding the
-      primary's float64 arrays (the dominant per-pair cost on sweeps);
-    * :attr:`observer_errors` — observer callbacks that raised (the
-      exception is swallowed; the operation's result is unaffected).
+      primary's float64 arrays (the dominant per-pair cost on sweeps).
     """
 
     __slots__ = ("calls", "seconds", "path_counts", "cache_assists",
-                 "edge_cache_hits", "observer_errors")
+                 "edge_cache_hits")
 
     def __init__(self) -> None:
         self.calls: Dict[str, int] = {op: 0 for op in OPERATIONS}
@@ -124,7 +93,6 @@ class EngineStats:
         self.path_counts: Dict[str, int] = {}
         self.cache_assists: int = 0
         self.edge_cache_hits: int = 0
-        self.observer_errors: int = 0
 
     @property
     def total_calls(self) -> int:
@@ -135,33 +103,31 @@ class EngineStats:
         return sum(self.seconds.values())
 
     def record(
-        self, operation: str, seconds: float, path: Optional[str] = None
-    ) -> None:
-        """Account one completed operation (engine-internal API)."""
-        self.calls[operation] = self.calls.get(operation, 0) + 1
-        self.seconds[operation] = self.seconds.get(operation, 0.0) + seconds
-        if path is not None:
-            self.path_counts[path] = self.path_counts.get(path, 0) + 1
+        self, operation: str, seconds: float, paths: Paths = None
+    ) -> int:
+        """Account one completed engine invocation; returns its pairs.
 
-    def record_bulk(
-        self,
-        operation: str,
-        seconds: float,
-        count: int,
-        paths: Optional[Mapping[str, int]] = None,
-    ) -> None:
-        """Account one bulk operation that answered ``count`` boxes.
-
-        Used by engines that answer a whole row at once (the sweep
-        engine's :meth:`~repro.core.sweep.SweepEngine.sweep_plane`):
-        ``calls`` advances by ``count`` so pairs-per-second telemetry
-        stays comparable with per-pair engines, while ``seconds`` accrues
-        the single wall-clock measurement of the whole kernel invocation.
+        ``paths`` is the internal path that answered one pair (``None``
+        for a single-path engine), or the ``{path: pairs}`` counts of an
+        invocation that answered several pairs at once (a row of the
+        sweep engine's :meth:`~repro.core.sweep.SweepEngine.sweep_plane`).
+        ``calls`` advances by the pairs, so pairs-per-second telemetry
+        stays comparable across engines, while ``seconds`` accrues the
+        invocation's one wall-clock measurement.
         """
+        if paths is None:
+            count = 1
+        elif isinstance(paths, str):
+            count = 1
+            self.path_counts[paths] = self.path_counts.get(paths, 0) + 1
+        else:
+            count = 0
+            for path, pairs in paths.items():
+                count += pairs
+                self.path_counts[path] = self.path_counts.get(path, 0) + pairs
         self.calls[operation] = self.calls.get(operation, 0) + count
         self.seconds[operation] = self.seconds.get(operation, 0.0) + seconds
-        for path, n in (paths or {}).items():
-            self.path_counts[path] = self.path_counts.get(path, 0) + n
+        return count
 
     def record_cache_assist(self) -> None:
         """Account one call a caller's cache answered for the engine."""
@@ -187,7 +153,6 @@ class EngineStats:
             self.path_counts[path] = self.path_counts.get(path, 0) + count
         self.cache_assists += snapshot.get("cache_assists", 0)
         self.edge_cache_hits += snapshot.get("edge_cache_hits", 0)
-        self.observer_errors += snapshot.get("observer_errors", 0)
 
     def as_dict(self) -> Dict[str, object]:
         """A plain-dict snapshot (JSON-friendly, detached from the engine)."""
@@ -197,7 +162,6 @@ class EngineStats:
             "path_counts": dict(self.path_counts),
             "cache_assists": self.cache_assists,
             "edge_cache_hits": self.edge_cache_hits,
-            "observer_errors": self.observer_errors,
         }
 
     def summary(self) -> str:
@@ -221,8 +185,6 @@ class EngineStats:
             parts.append(f"cache assists: {self.cache_assists}")
         if self.edge_cache_hits:
             parts.append(f"edge-cache hits: {self.edge_cache_hits}")
-        if self.observer_errors:
-            parts.append(f"observer errors: {self.observer_errors}")
         return "; ".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -245,8 +207,8 @@ class Engine:
 
     where ``path`` optionally labels the internal path that answered
     (the guarded ladder reports ``"fast"`` / ``"exact"``).  The base
-    class wraps both with timing, :class:`EngineStats` accounting and
-    observer notification, so a backend is only ever the two hooks.
+    class wraps both with timing and accounting (:meth:`_account`), so
+    a backend is only ever the two hooks.
 
     The base class also owns a small **per-primary edge cache**: the
     float64 edge arrays of the last few primary regions,
@@ -275,14 +237,8 @@ class Engine:
     #: the validated region maps instead.  One supervisor runs both.
     supports_plane: bool = False
 
-    def __init__(
-        self,
-        *,
-        observer: Optional[Observer] = None,
-        edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, *, edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE) -> None:
         self.stats = EngineStats()
-        self._observer = observer
         self._edge_cache_size = edge_cache_size
         # id(region) -> (region, arrays); the strong region reference
         # pins the id against reuse while cached.
@@ -343,36 +299,27 @@ class Engine:
         Subclasses with tunables (the guarded ladder's ``epsilon`` /
         ``drift_tolerance``) override this so :meth:`spawn` and the
         parallel batch executor can build *compatible* fresh instances
-        instead of silently dropping configuration.  ``observer`` is
-        intentionally excluded (callables don't cross process
-        boundaries; :meth:`spawn` re-attaches it in-process).
+        instead of silently dropping configuration.
         """
         return {}
 
     def spawn(self) -> "Engine":
         """A fresh instance with this engine's configuration.
 
-        Same backend, same tunables, same observer — but zero'd stats
-        and an empty cache, so a consumer (e.g.
-        ``RelationStore.batch_relations``) gets telemetry covering
-        exactly its own sweep.
+        Same backend, same tunables — but zero'd stats and an empty
+        cache, so a consumer (e.g. ``RelationStore.batch_relations``)
+        gets telemetry covering exactly its own sweep.
         """
-        return type(self)(observer=self._observer, **self.clone_options())
+        return type(self)(**self.clone_options())
 
     def worker_spec(self) -> Tuple[str, Dict[str, object]]:
         """``(registry name, options)`` for recreating this engine in a
         worker process.
 
-        Observers are dropped — callables can't be pickled across the
-        process boundary — so a **custom observer attached to this
-        instance never fires for worker-side operations**.  Worker
-        telemetry is not lost, though: when a tracer / metrics registry
-        is installed (:mod:`repro.obs`), each worker records spans and
-        metrics locally and the batch executor merges them into the
-        parent's trace, alongside the merged
-        :meth:`EngineStats.as_dict` snapshots.  Custom observers that
-        need per-event worker data should read the merged trace
-        instead; see ``docs/OBSERVABILITY.md``.
+        A worker's engine reports to the sinks the worker installs, and
+        the batch executor grafts them into the parent's (see
+        :mod:`repro.obs.channel`), alongside the merged
+        :meth:`EngineStats.as_dict` snapshots.
         """
         return self.name, self.clone_options()
 
@@ -399,62 +346,51 @@ class Engine:
             deadline.check(f"engine.{self.name}.{operation}")
         start = time.perf_counter()
         value, path = implementation(primary, box)
-        elapsed = time.perf_counter() - start
-        self.stats.record(operation, elapsed, path)
-        self._emit_telemetry(operation, elapsed, path)
+        self._account(operation, time.perf_counter() - start, path)
         return value, path
 
-    def _emit_telemetry(
-        self,
-        operation: str,
-        seconds: float,
-        path: Optional[str],
-        count: int = 1,
-        **extra_attributes,
-    ) -> None:
-        """Report one completed operation to every configured sink.
+    def _account(self, operation: str, seconds: float, paths: Paths) -> None:
+        """Account one completed invocation, once, in every sink.
 
-        Three independent sinks, each optional: the installed span
-        tracer, the installed metrics registry (both from
-        :mod:`repro.obs`; one ``None`` check each while disabled), and
-        this instance's observer.  An observer that raises is counted
-        in ``stats.observer_errors`` and otherwise ignored — telemetry
-        never aborts ``relation()`` / ``percentages()``.
+        :class:`EngineStats`, the installed span tracer and the
+        installed metrics registry (both from :mod:`repro.obs`) read
+        the same ``paths`` counts (see :meth:`EngineStats.record`), so
+        they cannot disagree.  While no sink is installed this costs
+        the stats update and two ``None`` checks.  The span carries the
+        ``path`` of one pair, or a bulk invocation's ``count`` and its
+        pairs per path; the counter counts pairs per path.
         """
+        count = self.stats.record(operation, seconds, paths)
         tracer = current_tracer()
         if tracer is not None:
-            attributes = {"engine": self.name, "operation": operation}
-            if path is not None:
-                attributes["path"] = path
-            if count != 1:
+            attributes: Dict[str, AttributeValue] = {
+                "engine": self.name,
+                "operation": operation,
+            }
+            if isinstance(paths, str):
+                attributes["path"] = paths
+            elif paths is not None:
                 attributes["count"] = count
-            if extra_attributes:
-                attributes.update(extra_attributes)
-            tracer.record(
-                f"engine.{self.name}.{operation}", seconds, attributes
-            )
+                attributes.update((path, pairs) for path, pairs in paths.items() if pairs)
+            tracer.record(f"engine.{self.name}.{operation}", seconds, attributes)
         registry = current_metrics()
         if registry is not None:
-            registry.counter(
+            per_path: Iterable[Tuple[Optional[str], int]] = (
+                ((paths, 1),) if paths is None or isinstance(paths, str) else paths.items()
+            )
+            counter = registry.counter(
                 "repro_engine_operations_total",
                 "Completed engine operations (bulk calls count per pair).",
-            ).inc(
-                count,
-                engine=self.name,
-                operation=operation,
-                path=path or "",
             )
+            for path, pairs in per_path:
+                if pairs:
+                    counter.inc(
+                        pairs, engine=self.name, operation=operation, path=path or ""
+                    )
             registry.histogram(
                 "repro_engine_operation_seconds",
                 "Wall-clock seconds per engine invocation.",
             ).observe(seconds, engine=self.name, operation=operation)
-        if self._observer is not None:
-            try:
-                self._observer(
-                    EngineEvent(self.name, operation, seconds, path, count)
-                )
-            except Exception:
-                self.stats.observer_errors += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -540,7 +476,7 @@ class GuardedEngine(Engine):
 
     The rung that answered each call is accumulated in
     ``stats.path_counts`` (``"fast"`` / ``"exact"``) and reported as the
-    ``path`` of every :class:`EngineEvent`.
+    ``path`` label of its span and metric.
     """
 
     name = "guarded"
@@ -550,12 +486,11 @@ class GuardedEngine(Engine):
         *,
         epsilon: Optional[float] = None,
         drift_tolerance: Optional[float] = None,
-        observer: Optional[Observer] = None,
         edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE,
     ) -> None:
         from repro.core.guarded import DEFAULT_DRIFT_TOLERANCE, DEFAULT_EPSILON
 
-        super().__init__(observer=observer, edge_cache_size=edge_cache_size)
+        super().__init__(edge_cache_size=edge_cache_size)
         self.epsilon = DEFAULT_EPSILON if epsilon is None else epsilon
         self.drift_tolerance = (
             DEFAULT_DRIFT_TOLERANCE

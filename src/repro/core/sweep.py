@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import DEFAULT_EDGE_CACHE_SIZE, Engine, Observer
+from repro.core.engine import DEFAULT_EDGE_CACHE_SIZE, Engine
 from repro.core.fast import (
     _EPSILON,
     _TILE_GRID,
@@ -280,13 +280,8 @@ class SweepEngine(Engine):
     name = "sweep"
     supports_plane = True
 
-    def __init__(
-        self,
-        *,
-        observer: Optional[Observer] = None,
-        edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE,
-    ) -> None:
-        super().__init__(observer=observer, edge_cache_size=edge_cache_size)
+    def __init__(self, *, edge_cache_size: int = DEFAULT_EDGE_CACHE_SIZE) -> None:
+        super().__init__(edge_cache_size=edge_cache_size)
         # Pre-seed the paths so telemetry readers always see all keys.
         self.stats.path_counts = {
             PRUNE_PATH: 0,
@@ -347,8 +342,9 @@ class SweepEngine(Engine):
         Returns ``(rows_done, masks, paths, areas)``.  ``rows_done <
         stop - start`` only when the ambient deadline expired — partial
         work is returned, never discarded; the caller labels the rest.
-        Prune decisions match :func:`single_tile_prune`, and stats are
-        accounted with one ``record_bulk`` per row and operation;
+        Prune decisions match :func:`single_tile_prune`, and each row
+        and operation is accounted once, with its prune and broadcast
+        pair counts (:meth:`~repro.core.engine.Engine._account`);
         relations and percentages are checked against the exact engine
         by the equivalence suites.
 
@@ -476,18 +472,11 @@ class SweepEngine(Engine):
             masks[row_offset, columns] = row_masks
             paths[row_offset, columns[pruned_at]] = PLANE_PATH_PRUNE
             paths[row_offset, columns[pending_at]] = PLANE_PATH_BROADCAST
-            path_counts = {PRUNE_PATH: int(pruned_at.size)}
-            if pending_at.size:
-                path_counts[BROADCAST_PATH] = int(pending_at.size)
-            recorded = {p: c for p, c in path_counts.items() if c}
-            self.stats.record_bulk("relation", elapsed, k, recorded)
-            self._emit_telemetry(
-                "relation",
-                elapsed,
-                BROADCAST_PATH,
-                count=k,
-                pruned=int(pruned_at.size),
-            )
+            row_paths = {
+                PRUNE_PATH: int(pruned_at.size),
+                BROADCAST_PATH: int(pending_at.size),
+            }
+            self._account("relation", elapsed, row_paths)
             if percentages and areas is not None:
                 started = time.perf_counter()
                 if pending_at.size:
@@ -502,13 +491,5 @@ class SweepEngine(Engine):
                     areas[row_offset, columns[pending_at], :] = np.stack(
                         [per_tile[tile] for tile in AREA_TILE_ORDER], axis=1
                     )
-                elapsed = time.perf_counter() - started
-                self.stats.record_bulk("percentages", elapsed, k, dict(recorded))
-                self._emit_telemetry(
-                    "percentages",
-                    elapsed,
-                    BROADCAST_PATH,
-                    count=k,
-                    pruned=int(pruned_at.size),
-                )
+                self._account("percentages", time.perf_counter() - started, row_paths)
         return rows, masks, paths, areas

@@ -22,7 +22,10 @@ that feeds them:
   pipeline, consistency solver, query evaluator and relation store all
   report into whichever sinks are *installed* (:func:`install_tracer`
   / :func:`install_metrics` / :func:`install_profiler` /
-  :func:`install_events`); nothing is recorded while none is.
+  :func:`install_events`); nothing is recorded while none is;
+* **the worker channel** (:mod:`repro.obs.channel`) — :func:`sink_spec`,
+  :class:`fresh_sinks` and :func:`graft` carry the installed sinks
+  across a process-pool boundary and back.
 
 Quick start::
 
@@ -42,7 +45,7 @@ span tree with hot-path percentages and per-span quantiles, and
 profile.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.adapter import EngineEventAdapter
+from repro.obs.channel import fresh_sinks, graft, sink_spec
 from repro.obs.events import (
     Event,
     EventLog,
@@ -97,7 +100,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "EngineEventAdapter",
     "Event",
     "EventLog",
     "Gauge",
@@ -117,6 +119,8 @@ __all__ = [
     "current_tracer",
     "emit",
     "emitting",
+    "fresh_sinks",
+    "graft",
     "hot_paths",
     "install_events",
     "install_metrics",
@@ -131,6 +135,7 @@ __all__ = [
     "render_hot_paths",
     "render_span_quantiles",
     "render_span_tree",
+    "sink_spec",
     "span",
     "span_quantiles",
     "tracing",

@@ -56,7 +56,7 @@ ENGINE_OK = """
 class GoodEngine(Engine):
     name = "good"
 
-    def __init__(self, observer=None, edge_cache_size=0, depth=2):
+    def __init__(self, edge_cache_size=0, depth=2):
         self.depth = depth
 
     def clone_options(self):
@@ -69,7 +69,7 @@ ENGINE_DROPS_TUNABLE = """
 class LossyEngine(Engine):
     name = "lossy"
 
-    def __init__(self, observer=None, depth=2):
+    def __init__(self, depth=2):
         self.depth = depth
 
 register_engine("lossy", LossyEngine)
@@ -79,7 +79,7 @@ ENGINE_NEVER_REGISTERED = """
 class GhostEngine(Engine):
     name = "ghost"
 
-    def __init__(self, observer=None):
+    def __init__(self):
         pass
 """
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core.batch import batch_relations
 from repro.core.engine import (
     Engine,
-    EngineEvent,
     EngineStats,
     available_engines,
     create_engine,
@@ -96,7 +95,7 @@ class TestStats:
 
     def test_cache_assists_and_snapshot(self, primary, box):
         stats = EngineStats()
-        stats.record("relation", 0.5, path="fast")
+        stats.record("relation", 0.5, "fast")
         stats.record_cache_assist()
         stats.record_cache_assist()
         snapshot = stats.as_dict()
@@ -113,27 +112,6 @@ class TestStats:
         assert "1 relation" in summary
         assert "paths:" in summary
         assert "ms" in summary
-
-
-class TestObserver:
-    def test_observer_sees_every_operation(self, primary, box):
-        events = []
-        engine = create_engine("guarded", observer=events.append)
-        engine.relation(primary, box)
-        engine.percentages(primary, box)
-        assert [event.operation for event in events] == [
-            "relation",
-            "percentages",
-        ]
-        assert all(isinstance(event, EngineEvent) for event in events)
-        assert all(event.engine == "guarded" for event in events)
-        assert all(event.seconds > 0.0 for event in events)
-        assert all(event.path in ("fast", "exact") for event in events)
-        assert "guarded.relation" in str(events[0])
-
-    def test_observer_is_optional(self, primary, box):
-        engine = create_engine("exact")
-        engine.relation(primary, box)  # must not raise
 
 
 class RecordingEngine(Engine):

@@ -1,15 +1,13 @@
-"""Engine-layer observability: hardened observers, stats edge cases,
-and the span/metric telemetry engines feed into installed sinks."""
+"""Engine-layer observability: stats edge cases, and the span/metric
+telemetry engines feed into installed sinks from the same counts."""
 
 import pytest
 
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.core.batch import batch_relations
-from repro.core.engine import EngineEvent, EngineStats, create_engine
+from repro.core.engine import EngineStats, create_engine
 from repro.geometry.region import Region
 from repro.obs import (
-    MetricsRegistry,
-    Tracer,
     collecting,
     tracing,
     uninstall_metrics,
@@ -32,52 +30,21 @@ def square(x0=0, y0=0, size=1) -> Region:
     )
 
 
+def seven_region_map() -> Configuration:
+    """Six 2×2 squares on a 5-unit grid plus one 20×20 square: the sweep
+    prunes 12 of the 42 ordered pairs and broadcasts the other 30."""
+    return Configuration.from_regions(
+        [AnnotatedRegion(f"s{i}", square(5 * (i % 3), 5 * (i // 3), 2)) for i in range(6)]
+        + [AnnotatedRegion("big", square(0, 0, 20))]
+    )
+
+
 def one_row_configuration() -> Configuration:
     """Primary ``p`` and four references: one sweep-plane row of 4."""
     return Configuration.from_regions(
         [AnnotatedRegion("p", square(1, 1))]
         + [AnnotatedRegion(f"r{i}", square(i * 5, 0)) for i in range(4)]
     )
-
-
-class TestObserverHardening:
-    """A raising observer must never abort the observed operation."""
-
-    def _engine(self, name="exact"):
-        events = []
-
-        def observer(event):
-            events.append(event)
-            raise RuntimeError("observer exploded")
-
-        return create_engine(name, observer=observer), events
-
-    def test_relation_survives_raising_observer(self):
-        engine, events = self._engine()
-        relation = engine.relation(square(2, 2), square().bounding_box())
-        assert relation is not None
-        assert len(events) == 1  # the observer did run
-        assert engine.stats.observer_errors == 1
-
-    def test_percentages_survives_raising_observer(self):
-        engine, events = self._engine()
-        matrix = engine.percentages(square(2, 2), square().bounding_box())
-        assert matrix is not None
-        assert engine.stats.observer_errors == 1
-
-    def test_errors_accumulate_and_reach_summary(self):
-        engine, _ = self._engine()
-        box = square().bounding_box()
-        for _ in range(3):
-            engine.relation(square(2, 2), box)
-        assert engine.stats.observer_errors == 3
-        assert "observer errors: 3" in engine.stats.summary()
-
-    def test_observer_error_does_not_poison_installed_sinks(self):
-        engine, _ = self._engine()
-        with tracing() as tracer:
-            engine.relation(square(2, 2), square().bounding_box())
-        assert [s.name for s in tracer.spans] == ["engine.exact.relation"]
 
 
 class TestEngineStatsEdgeCases:
@@ -91,19 +58,17 @@ class TestEngineStatsEdgeCases:
     def test_merge_into_empty_stats(self):
         stats = EngineStats()
         other = EngineStats()
-        other.record("relation", 0.25, path="fast")
+        other.record("relation", 0.25, "fast")
         other.record_cache_assist()
-        other.observer_errors = 2
         stats.merge(other.as_dict())
         assert stats.calls["relation"] == 1
         assert stats.path_counts == {"fast": 1}
         assert stats.cache_assists == 1
-        assert stats.observer_errors == 2
 
     def test_repeated_merge_accumulates(self):
         stats = EngineStats()
         other = EngineStats()
-        other.record("percentages", 0.1, path="exact")
+        other.record("percentages", 0.1, "exact")
         snapshot = other.as_dict()
         for _ in range(3):
             stats.merge(snapshot)
@@ -113,18 +78,16 @@ class TestEngineStatsEdgeCases:
 
     def test_record_bulk_zero_count(self):
         stats = EngineStats()
-        stats.record_bulk("relation", 0.05, 0)
+        assert stats.record("relation", 0.05, {"prune": 0}) == 0
         assert stats.calls["relation"] == 0
         assert stats.seconds["relation"] == 0.05  # kernel time still real
 
     def test_record_bulk_mixed_with_per_pair_fallback(self):
         """A sweep answers most pairs in bulk, odd ones per pair."""
         stats = EngineStats()
-        stats.record_bulk(
-            "relation", 0.2, 90, paths={"prune": 60, "broadcast": 30}
-        )
+        assert stats.record("relation", 0.2, {"prune": 60, "broadcast": 30}) == 90
         for _ in range(10):
-            stats.record("relation", 0.01, path="fast")
+            assert stats.record("relation", 0.01, "fast") == 1
         assert stats.calls["relation"] == 100
         assert stats.seconds["relation"] == pytest.approx(0.3)
         assert stats.path_counts == {
@@ -132,14 +95,6 @@ class TestEngineStatsEdgeCases:
             "broadcast": 30,
             "fast": 10,
         }
-
-    def test_bulk_event_count_reaches_observers(self):
-        events = []
-        engine = create_engine("sweep", observer=events.append)
-        batch_relations(one_row_configuration(), engine=engine, primaries=["p"])
-        assert sum(e.count for e in events) == 4
-        assert all(isinstance(e, EngineEvent) for e in events)
-        assert any("x" in str(e) for e in events if e.count > 1)
 
 
 class TestEngineTelemetry:
@@ -181,3 +136,33 @@ class TestEngineTelemetry:
         # no tracer/registry installed: nothing to assert but no crash,
         # and stats still advance normally
         assert engine.stats.calls["relation"] == 1
+
+
+class TestPerPathAccounting:
+    """Stats, spans and metrics count each sweep row from one set of
+    per-path counts, in the parent and in pool workers alike."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_operation_series_equal_path_counts(self, workers):
+        with tracing() as tracer, collecting() as registry:
+            report = batch_relations(
+                seven_region_map(), engine="sweep", workers=workers
+            )
+        path_counts = report.engine_stats.path_counts
+        assert path_counts == {"prune": 12, "broadcast": 30, "fast": 0}
+        series = {
+            dict(labels)["path"]: value
+            for labels, value in registry.counter(
+                "repro_engine_operations_total"
+            )._series.items()
+            if dict(labels)["engine"] == "sweep"
+        }
+        assert series == {"prune": 12, "broadcast": 30}
+        for path, pairs in series.items():
+            assert pairs == path_counts[path]
+        # The series add up to the pairs the kernel answered: every row.
+        assert sum(series.values()) == report.table.size == 42
+        rows = [s for s in tracer.spans if s.name == "engine.sweep.relation"]
+        assert sum(s.attributes["count"] for s in rows) == 42
+        for path in ("prune", "broadcast"):
+            assert sum(s.attributes.get(path, 0) for s in rows) == path_counts[path]
