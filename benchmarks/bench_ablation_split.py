@@ -6,16 +6,11 @@ nothing measurable, and (b) on grid-aligned workloads the naive rule
 reports wrong relations — quantified as a defect rate.
 """
 
-import random
-
 import pytest
 
-from repro.core.compute import compute_cdr
 from repro.core.split import divide_region_edges
 from repro.core.relation import CardinalDirection
-from repro.core.tiles import Tile
 from repro.geometry.region import Region
-from repro.workloads.generators import random_rectilinear_region
 
 from benchmarks.conftest import star_workload
 

@@ -8,13 +8,13 @@ stack itself):
   engine registry, the observability conventions and the numeric
   layers rely on, with ``# repro: noqa[RULE]`` /
   ``# repro: noqa-file[RULE]`` suppressions, pluggable third-party
-  rules and text/JSON/SARIF reporters plus a ``--baseline`` ratchet
-  (:mod:`repro.analysis.baseline`, :mod:`repro.analysis.sarif`);
-* **flow-sensitive engine** (:mod:`repro.analysis.cfg` /
-  :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.flow_rules`)
-  — per-function CFGs and a worklist gen/kill framework powering the
-  path-sensitive rules RA007–RA010 (resource lifecycle, deadline
-  discipline, fork safety, exception transparency);
+  rules and text/JSON/SARIF reporters (:mod:`repro.analysis.sarif`);
+* **path rules** (:mod:`repro.analysis.flow_rules`, over
+  :mod:`repro.analysis.cfg` and :mod:`repro.analysis.dataflow`) —
+  RA008 (deadline discipline) finds loop bodies on per-function CFGs,
+  RA009 (fork safety) runs a forward *may* dataflow problem over them,
+  and RA010 (exception transparency) walks ``try`` statements with a
+  module-local call summary;
 * **D\\* algebra verifier** (:mod:`repro.analysis.algebra`) — proves
   the inverse/composition tables of the reasoning stack satisfy the
   involution, identity, closure and witness-coherence theorems over
@@ -36,20 +36,12 @@ from repro.analysis.algebra import (
     default_coherence_pairs,
     verify_algebra,
 )
-from repro.analysis.baseline import (
-    BaselineError,
-    fingerprint_findings,
-    load_baseline,
-    partition_findings,
-    write_baseline,
-)
 from repro.analysis.cfg import CFG, CFGNode, build_cfg, function_cfgs
-from repro.analysis.dataflow import DataflowAnalysis, DataflowResult, solve
+from repro.analysis.dataflow import solve
 from repro.analysis.flow_rules import (
     DeadlineLoopRule,
     ExceptionShieldRule,
     ForkSafetyRule,
-    ResourceLifecycleRule,
 )
 from repro.analysis.linter import (
     LintError,
@@ -80,11 +72,8 @@ __all__ = [
     "AlgebraCheck",
     "AlgebraReport",
     "AlgebraViolation",
-    "BaselineError",
     "CFG",
     "CFGNode",
-    "DataflowAnalysis",
-    "DataflowResult",
     "DeadlineLoopRule",
     "ExceptionShieldRule",
     "ForkSafetyRule",
@@ -93,7 +82,6 @@ __all__ = [
     "LintResult",
     "Linter",
     "ModuleInfo",
-    "ResourceLifecycleRule",
     "Rule",
     "STRICT_PACKAGES",
     "TypingReport",
@@ -101,11 +89,8 @@ __all__ = [
     "build_cfg",
     "create_rules",
     "default_coherence_pairs",
-    "fingerprint_findings",
     "function_cfgs",
     "lint_paths",
-    "load_baseline",
-    "partition_findings",
     "register_rule",
     "render_json",
     "render_sarif",
@@ -116,5 +101,4 @@ __all__ = [
     "solve",
     "unregister_rule",
     "verify_algebra",
-    "write_baseline",
 ]

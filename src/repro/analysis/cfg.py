@@ -5,9 +5,10 @@
 directed edges for every way control can move between them —
 fall-through, branch, loop back-edge, ``break`` / ``continue`` /
 ``return`` (routed through every enclosing ``finally``), exception
-propagation into handlers and out of the function.  The flow-sensitive
-lint rules (:mod:`repro.analysis.flow_rules`) run their dataflow
-problems (:mod:`repro.analysis.dataflow`) over these graphs.
+propagation into handlers and out of the function.  The path rules
+RA008 and RA009 (:mod:`repro.analysis.flow_rules`) find loop bodies
+and solve a dataflow problem (:mod:`repro.analysis.dataflow`) on these
+graphs.
 
 Design decisions, chosen for *sound over-approximation* — a rule that
 demands a property on **all** paths may see spurious paths (false

@@ -1,167 +1,56 @@
-"""A small worklist dataflow framework over :mod:`repro.analysis.cfg`.
+"""Forward *may* dataflow over :mod:`repro.analysis.cfg` graphs.
 
-An analysis is a :class:`DataflowAnalysis` subclass declaring a
-direction (forward or backward), a meet (*may* = union over paths,
-*must* = intersection), and per-node transfer via ``gen`` / ``kill``
-sets.  :func:`solve` iterates a worklist to the fixed point and returns
-facts at both sides of every node.
+A problem is one transfer function: given a node and the facts that
+hold before it, return the facts after it.  :func:`solve` iterates a
+worklist to the fixed point, meeting by union over every incoming edge
+(normal and exception alike), and returns the facts before each node.
 
-The framework is deliberately minimal — plain ``frozenset`` facts, no
-lattice abstraction beyond may/must — because the flow rules built on
-it (:mod:`repro.analysis.flow_rules`) all fit the classic gen/kill
-mould:
-
-* RA007 (resource lifecycle) is a backward **must** problem — "on every
-  path from here, is the segment guaranteed released?"
-* RA008 (deadline discipline) uses reachability plus a module-level
-  summary, not a full transfer, but shares the CFG.
-* RA009 (fork safety) is a forward **may** problem — "can a live lock /
-  open span reach this pool-spawn site?"
-
-Analyses can restrict which edge kinds they traverse via
-``edge_kinds`` (default: both normal and exception edges), and may
-override :meth:`DataflowAnalysis.transfer` entirely when gen/kill is
-not expressive enough.
+Facts are plain frozensets of strings, with no lattice abstraction,
+because the one problem in use fits that mould: RA009 (fork safety,
+:mod:`repro.analysis.flow_rules`) asks "can a live thread, lock, open
+span or contextvar write reach this pool-spawn site?"
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from collections import deque
+from typing import Callable, Dict, FrozenSet
 
-from .cfg import CFG, EXCEPTION, NORMAL, CFGNode
+from .cfg import CFG, CFGNode
 
-__all__ = [
-    "BACKWARD",
-    "DataflowAnalysis",
-    "DataflowResult",
-    "FORWARD",
-    "solve",
-]
-
-FORWARD = "forward"
-BACKWARD = "backward"
+__all__ = ["Facts", "Transfer", "solve"]
 
 Facts = FrozenSet[str]
+Transfer = Callable[[CFGNode, Facts], Facts]
+
 _EMPTY: Facts = frozenset()
 
 
-class DataflowAnalysis:
-    """Base class: declare direction/meet, implement gen/kill."""
+def solve(cfg: CFG, transfer: Transfer) -> Dict[int, Facts]:
+    """Facts before each node at the fixed point, keyed by node index.
 
-    #: :data:`FORWARD` or :data:`BACKWARD`.
-    direction: str = FORWARD
-    #: ``True`` → may analysis (union over paths); ``False`` → must
-    #: (intersection over paths).
-    may: bool = True
-    #: Which edge kinds the analysis flows along.
-    edge_kinds: Tuple[str, ...] = (NORMAL, EXCEPTION)
-
-    def universe(self, cfg: CFG) -> Facts:
-        """All facts (the ⊤ initialiser for must analyses)."""
-        return _EMPTY
-
-    def boundary(self, cfg: CFG) -> Facts:
-        """Facts at the entry (forward) or exit (backward) node."""
-        return _EMPTY
-
-    def gen(self, node: CFGNode) -> Facts:
-        return _EMPTY
-
-    def kill(self, node: CFGNode) -> Facts:
-        return _EMPTY
-
-    def transfer(self, node: CFGNode, facts: Facts) -> Facts:
-        """``gen ∪ (facts − kill)``; override for non-gen/kill rules."""
-        return self.gen(node) | (facts - self.kill(node))
-
-
-class DataflowResult:
-    """Fixed-point facts on both sides of every node.
-
-    ``entry_facts`` are the facts *before* the node executes in program
-    order, ``exit_facts`` the facts after — regardless of the analysis
-    direction, so rules read them the same way either way.
+    The entry starts empty.  Unreachable nodes stay empty, so they add
+    nothing to the union at reachable nodes.
     """
+    before: Dict[int, Facts] = {node.index: _EMPTY for node in cfg.nodes}
+    after: Dict[int, Facts] = dict(before)
+    after[cfg.entry.index] = transfer(cfg.entry, _EMPTY)
 
-    def __init__(
-        self,
-        analysis: DataflowAnalysis,
-        entry_facts: Dict[int, Facts],
-        exit_facts: Dict[int, Facts],
-    ) -> None:
-        self.analysis = analysis
-        self._entry = entry_facts
-        self._exit = exit_facts
-
-    def entry_facts(self, node: CFGNode) -> Facts:
-        return self._entry.get(node.index, _EMPTY)
-
-    def exit_facts(self, node: CFGNode) -> Facts:
-        return self._exit.get(node.index, _EMPTY)
-
-
-def _meet(analysis: DataflowAnalysis, values: Iterable[Facts]) -> Optional[Facts]:
-    result: Optional[Facts] = None
-    for value in values:
-        if result is None:
-            result = value
-        elif analysis.may:
-            result = result | value
-        else:
-            result = result & value
-    return result
-
-
-def solve(cfg: CFG, analysis: DataflowAnalysis) -> DataflowResult:
-    """Iterate to the meet-over-paths fixed point.
-
-    Unreachable nodes keep the ⊤ initialiser (universe for must,
-    empty for may) — they contribute nothing spurious to the meet at
-    reachable nodes.
-    """
-    forward = analysis.direction == FORWARD
-    boundary_node = cfg.entry if forward else cfg.exit
-    top = _EMPTY if analysis.may else analysis.universe(cfg)
-
-    def inputs(node: CFGNode) -> Iterable[CFGNode]:
-        neighbours = cfg.predecessors if forward else cfg.successors
-        return [
-            neighbour
-            for kind in analysis.edge_kinds
-            for neighbour in neighbours(node, kind)
-        ]
-
-    # ``before``/``after`` are in *analysis* order: ``before`` is the
-    # side facts flow in on, ``after`` the side the transfer produces.
-    before: Dict[int, Facts] = {n.index: top for n in cfg.nodes}
-    after: Dict[int, Facts] = {n.index: top for n in cfg.nodes}
-    before[boundary_node.index] = analysis.boundary(cfg)
-    after[boundary_node.index] = analysis.transfer(
-        boundary_node, before[boundary_node.index]
-    )
-
-    work = [node for node in cfg.nodes if node is not boundary_node]
+    work = deque(node for node in cfg.nodes if node is not cfg.entry)
     pending = {node.index for node in work}
     while work:
-        node = work.pop(0)
+        node = work.popleft()
         pending.discard(node.index)
-        met = _meet(analysis, (after[n.index] for n in inputs(node)))
-        if met is None:
-            met = top
+        met = _EMPTY.union(
+            *(after[source.index] for source in cfg.predecessors(node))
+        )
         before[node.index] = met
-        produced = analysis.transfer(node, met)
+        produced = transfer(node, met)
         if produced != after[node.index]:
             after[node.index] = produced
-            outputs = (
-                cfg.successors(node) if forward else cfg.predecessors(node)
-            )
-            for neighbour in outputs:
-                if neighbour is boundary_node:
+            for successor in cfg.successors(node):
+                if successor is cfg.entry or successor.index in pending:
                     continue
-                if neighbour.index not in pending:
-                    pending.add(neighbour.index)
-                    work.append(neighbour)
-
-    if forward:
-        return DataflowResult(analysis, before, after)
-    return DataflowResult(analysis, after, before)
+                pending.add(successor.index)
+                work.append(successor)
+    return before

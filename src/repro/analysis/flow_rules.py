@@ -1,19 +1,12 @@
-"""Flow-sensitive lint rules: RA007–RA010.
+"""Path lint rules: RA008–RA010.
 
-These rules run dataflow problems (:mod:`repro.analysis.dataflow`) over
-per-function CFGs (:mod:`repro.analysis.cfg`) to check the lifecycle
-disciplines the runtime layers rely on — properties a statement-level
-walk (:mod:`repro.analysis.rules`) cannot see because they are about
-*paths*, not statements:
+These rules check the lifecycle disciplines the runtime layers rely on:
+properties a statement-level walk (:mod:`repro.analysis.rules`) cannot
+see, because they are about *paths* or about what a called helper does:
 
 ========  ====================  =========================================
 id        name                  contract
 ========  ====================  =========================================
-RA007     resource-lifecycle    every ``SharedMemory(create=True)``
-                                acquisition reaches ``unlink()`` on
-                                **all** paths, exceptional ones included
-                                (``with``-managed acquisitions pass
-                                trivially)
 RA008     deadline-loop         loops on ``core`` / ``reasoning`` hot
                                 paths that do pair/engine work must keep
                                 a reachable deadline checkpoint inside
@@ -29,12 +22,18 @@ RA010     exception-shield      broad ``except`` handlers that can
                                 shield handler
 ========  ====================  =========================================
 
-All four are *may-flag over-approximations*: the CFG merges paths
+RA008 finds each loop's body on the function's CFG
+(:mod:`repro.analysis.cfg`); RA009 runs a forward *may* dataflow
+problem (:mod:`repro.analysis.dataflow`) over it; RA010 walks the
+``try`` statements of the AST and builds no CFG.  RA008 and RA010 also
+read a module-local summary of which helpers checkpoint or can raise.
+
+All three are *may-flag over-approximations*: the CFG merges paths
 (notably through shared ``finally`` bodies) and the call analysis is
 intraprocedural plus a module-local summary, so a finding can be a
-false positive on exotic code — that is what ``# repro: noqa[RA00x]``
-and the ``--baseline`` ratchet are for.  The rules never model paths
-that cannot happen, so a clean bill of health is meaningful.
+false positive on exotic code — that is what ``# repro: noqa[RA0xx]``
+is for.  The rules never model paths that cannot happen, so a clean
+bill of health is meaningful.
 
 Importing this module registers the rules (the
 :mod:`repro.analysis` package import does this), mirroring the built-in
@@ -45,30 +44,17 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
-from .cfg import CFG, NORMAL, CFGNode
-from .dataflow import BACKWARD, FORWARD, DataflowAnalysis, solve
+from .cfg import CFG, CFGNode
+from .dataflow import Facts, solve
 from .rules import LintFinding, ModuleInfo, Rule, register_rule
 
 __all__ = [
     "DeadlineLoopRule",
     "ExceptionShieldRule",
     "ForkSafetyRule",
-    "ResourceLifecycleRule",
 ]
-
-Facts = FrozenSet[str]
 
 
 # ---------------------------------------------------------------------------
@@ -177,198 +163,6 @@ def _functions_satisfying(
 
 
 # ---------------------------------------------------------------------------
-# RA007 — resource lifecycle (backward must-reach-release)
-# ---------------------------------------------------------------------------
-
-#: Method names that release an owned segment for good.  ``close()``
-#: alone is deliberately *not* a release: an owner that closes without
-#: unlinking still leaks the named segment in ``/dev/shm``.
-_RELEASE_METHODS = frozenset({"unlink"})
-
-#: Container-transfer methods: ``segments.append(segment)`` hands the
-#: object to an owner with its own lifecycle.
-_TRANSFER_METHODS = frozenset({"append", "add", "put", "push", "register"})
-
-
-def _acquisition(call: ast.Call) -> Optional[str]:
-    """A short resource label when this call acquires an owned segment."""
-    callee = _callee_name(call)
-    if callee == "SharedMemory":
-        for keyword in call.keywords:
-            if (
-                keyword.arg == "create"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                return "shared-memory segment"
-    return None
-
-
-def _collect_bindings(target: ast.AST, names: Set[str]) -> None:
-    """Names *rebound* by an assignment target.
-
-    ``segment.buf[...] = x`` and ``views["offsets"][:] = x`` store
-    *into* the object — the local name still refers to the resource, so
-    they must not kill lifecycle facts.  Only direct name targets (and
-    tuple/list destructuring of them) rebind.
-    """
-    if isinstance(target, ast.Name):
-        names.add(target.id)
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            _collect_bindings(element, names)
-    elif isinstance(target, ast.Starred):
-        _collect_bindings(target.value, names)
-
-
-def _bound_names(stmt: ast.AST) -> Set[str]:
-    """Simple names (re)bound by this statement."""
-    names: Set[str] = set()
-    targets: List[ast.AST] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-        targets = [stmt.target]
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        targets = [stmt.target]
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        targets = [
-            item.optional_vars
-            for item in stmt.items
-            if item.optional_vars is not None
-        ]
-    for target in targets:
-        _collect_bindings(target, names)
-    return names
-
-
-class _ReleaseAnalysis(DataflowAnalysis):
-    """Backward must: variables guaranteed released/escaped ahead."""
-
-    direction = BACKWARD
-    may = False
-
-    def __init__(self, tracked: FrozenSet[str]) -> None:
-        self.tracked = tracked
-
-    def universe(self, cfg: CFG) -> Facts:
-        return self.tracked
-
-    def gen(self, node: CFGNode) -> Facts:
-        stmt = node.stmt
-        if stmt is None or node.kind in ("def", "class", "with_exit"):
-            return frozenset()
-        handled: Set[str] = set()
-        for call in _node_calls(node):
-            callee = _callee_name(call)
-            receiver = _receiver_name(call)
-            if callee in _RELEASE_METHODS and receiver in self.tracked:
-                handled.add(receiver)  # type: ignore[arg-type]
-            if callee in _TRANSFER_METHODS:
-                for argument in call.args:
-                    if (
-                        isinstance(argument, ast.Name)
-                        and argument.id in self.tracked
-                    ):
-                        handled.add(argument.id)
-        handled |= self._escapes(stmt)
-        return frozenset(handled)
-
-    def _escapes(self, stmt: ast.AST) -> Set[str]:
-        escaped: Set[str] = set()
-        carriers: List[ast.AST] = []
-        if isinstance(stmt, (ast.Return, ast.Raise)):
-            carriers = [stmt]
-        elif isinstance(stmt, ast.Expr) and isinstance(
-            stmt.value, (ast.Yield, ast.YieldFrom)
-        ):
-            carriers = [stmt.value]
-        elif isinstance(stmt, ast.Assign):
-            # Storing into an attribute/subscript (``self._segment = s``)
-            # or aliasing to another name transfers ownership.
-            if any(
-                isinstance(target, (ast.Attribute, ast.Subscript))
-                for target in stmt.targets
-            ) or isinstance(stmt.value, ast.Name):
-                carriers = [stmt.value]
-        for carrier in carriers:
-            for sub in ast.walk(carrier):
-                if isinstance(sub, ast.Name) and sub.id in self.tracked:
-                    escaped.add(sub.id)
-        return escaped
-
-    def kill(self, node: CFGNode) -> Facts:
-        stmt = node.stmt
-        if stmt is None:
-            return frozenset()
-        return frozenset(_bound_names(stmt) & self.tracked)
-
-
-class ResourceLifecycleRule(Rule):
-    """Owned segments must be released on every path out.
-
-    A ``SharedMemory(create=True)`` that does not reach ``unlink()`` on
-    some path — including the path where the very next statement
-    raises — leaks a named ``/dev/shm`` segment for the life of the
-    machine, the exact incident class the ROADMAP's ``cardirect serve``
-    daemon cannot afford.  Wrap the acquisition in ``try/finally``, use
-    it as a context manager, or hand it to an owner (return it, store it
-    on ``self``) whose lifecycle is checked instead.
-    """
-
-    id = "RA007"
-    name = "resource-lifecycle"
-    description = (
-        "SharedMemory acquisitions must reach unlink() on all paths"
-    )
-    packages = None
-
-    def check(self, module: ModuleInfo) -> Iterator[LintFinding]:
-        for _qualname, _function, cfg in module.function_cfgs():
-            yield from self._check_function(module, cfg)
-
-    def _check_function(
-        self, module: ModuleInfo, cfg: CFG
-    ) -> Iterator[LintFinding]:
-        acquisitions: List[Tuple[CFGNode, str, str]] = []
-        for node in cfg.statement_nodes():
-            stmt = node.stmt
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                continue
-            target = stmt.targets[0]
-            if not isinstance(target, ast.Name):
-                continue  # self._x = ... : ownership moves to the object
-            if not isinstance(stmt.value, ast.Call):
-                continue
-            resource = _acquisition(stmt.value)
-            if resource is not None:
-                acquisitions.append((node, target.id, resource))
-        if not acquisitions:
-            return
-        tracked = frozenset(variable for _, variable, _ in acquisitions)
-        result = solve(cfg, _ReleaseAnalysis(tracked))
-        for node, variable, resource in acquisitions:
-            # The acquisition's own exception edge means the variable
-            # was never bound — only the *normal* successors matter.
-            successors = cfg.successors(node, NORMAL)
-            leaky = [
-                successor
-                for successor in successors
-                if variable not in result.entry_facts(successor)
-            ]
-            if leaky:
-                assert node.stmt is not None
-                yield self.finding(
-                    module,
-                    node.stmt,
-                    f"{resource} {variable!r} may not reach "
-                    "unlink() on every path (exception paths "
-                    "included); wrap in try/finally or transfer "
-                    "ownership explicitly",
-                )
-
-
-# ---------------------------------------------------------------------------
 # RA008 — deadline discipline in hot loops
 # ---------------------------------------------------------------------------
 
@@ -376,17 +170,7 @@ class ResourceLifecycleRule(Rule):
 #: internal deadline check.  Engine methods (``relation`` /
 #: ``percentages``) are *not* work here — they checkpoint internally
 #: via ``Engine._timed`` and therefore count as checkpoints instead.
-_WORK_CALLS = frozenset(
-    {
-        "_compute_pair",
-        "_pair_outcome",
-        "_retry_pair",
-        "_compose_pair",
-        "compute_relation",
-        "relation_for",
-        "matrix_for",
-    }
-)
+_WORK_CALLS = frozenset({"_compute_pair", "_pair_outcome", "_compose_pair"})
 
 #: Attribute calls that run a deadline check themselves.
 _CHECKPOINT_CALLS = frozenset(
@@ -401,7 +185,7 @@ def _is_checkpoint_call(call: ast.Call, summary: Set[str]) -> bool:
     callee = _callee_name(call)
     if callee is None:
         return False
-    if callee in ("current_deadline", "deadline_scope", "fail_after"):
+    if callee in ("current_deadline", "deadline_scope"):
         return True
     if callee in summary:
         return True
@@ -495,77 +279,70 @@ _THREAD_FACTORIES = frozenset({"Thread", "Timer"})
 _LOCK_FACTORIES = frozenset(
     {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Barrier"}
 )
-_SPAWN_CALLS = frozenset(
-    {"ProcessPoolExecutor", "Pool", "fork", "forkpty", "spawn_worker"}
-)
+_SPAWN_CALLS = frozenset({"ProcessPoolExecutor", "Pool", "fork", "forkpty"})
 #: Contextvar holders follow the module-constant convention
-#: (``_CURRENT``, ``_ACTIVE_PLANE``): screaming snake case.
+#: (``_CURRENT`` in ``resilience/deadline.py``): screaming snake case.
 _CONTEXTVAR_RE = re.compile(r"_?[A-Z][A-Z0-9_]*\Z")
 
 
-class _ForkHazardAnalysis(DataflowAnalysis):
-    """Forward may: fork-hostile state possibly live at each point.
+def _fork_hazards(node: CFGNode, facts: Facts) -> Facts:
+    """Transfer: fork-hostile state possibly live after ``node``.
 
     Facts are ``kind@line`` strings — the line pins the origin so the
     finding message can say *what* is live and *where it came from*.
     """
-
-    direction = FORWARD
-    may = True
-
-    def transfer(self, node: CFGNode, facts: Facts) -> Facts:
-        stmt = node.stmt
-        if stmt is None:
-            return facts
-        if node.kind == "with_exit":
-            # ``__exit__`` ran: spans opened by this with-statement end.
-            return frozenset(
+    stmt = node.stmt
+    if stmt is None:
+        return facts
+    if node.kind == "with_exit":
+        # ``__exit__`` ran: spans opened by this with-statement end.
+        return frozenset(
+            fact
+            for fact in facts
+            if fact != f"open span@{node.line}"
+        )
+    if node.kind in ("def", "class"):
+        return facts
+    updated = set(facts)
+    for call in _node_calls(node):
+        callee = _callee_name(call)
+        receiver = _receiver_name(call)
+        if callee in _THREAD_FACTORIES:
+            updated.add(f"live thread@{node.line}")
+        elif callee in _LOCK_FACTORIES and (
+            receiver is None or receiver in ("threading", "multiprocessing")
+        ):
+            updated.add(f"held lock object@{node.line}")
+        elif callee == "join" and receiver is not None:
+            updated = {
+                fact for fact in updated if not fact.startswith("live thread@")
+            }
+        elif (
+            callee == "set"
+            and receiver is not None
+            and _CONTEXTVAR_RE.fullmatch(receiver)
+        ):
+            updated.add(f"contextvar write ({receiver})@{node.line}")
+        elif (
+            callee == "reset"
+            and receiver is not None
+            and _CONTEXTVAR_RE.fullmatch(receiver)
+        ):
+            updated = {
                 fact
-                for fact in facts
-                if fact != f"open span@{node.line}"
-            )
-        if node.kind in ("def", "class"):
-            return facts
-        updated = set(facts)
-        for call in _node_calls(node):
-            callee = _callee_name(call)
-            receiver = _receiver_name(call)
-            if callee in _THREAD_FACTORIES:
-                updated.add(f"live thread@{node.line}")
-            elif callee in _LOCK_FACTORIES and (
-                receiver is None or receiver in ("threading", "multiprocessing")
+                for fact in updated
+                if not fact.startswith(f"contextvar write ({receiver})@")
+            }
+    if node.kind == "with":
+        assert isinstance(stmt, (ast.With, ast.AsyncWith))
+        for item in stmt.items:
+            expr = item.context_expr
+            if isinstance(expr, ast.Call) and _callee_name(expr) in (
+                "span",
+                "record",
             ):
-                updated.add(f"held lock object@{node.line}")
-            elif callee == "join" and receiver is not None:
-                updated = {
-                    fact for fact in updated if not fact.startswith("live thread@")
-                }
-            elif (
-                callee == "set"
-                and receiver is not None
-                and _CONTEXTVAR_RE.fullmatch(receiver)
-            ):
-                updated.add(f"contextvar write ({receiver})@{node.line}")
-            elif (
-                callee == "reset"
-                and receiver is not None
-                and _CONTEXTVAR_RE.fullmatch(receiver)
-            ):
-                updated = {
-                    fact
-                    for fact in updated
-                    if not fact.startswith(f"contextvar write ({receiver})@")
-                }
-        if node.kind == "with":
-            assert isinstance(stmt, (ast.With, ast.AsyncWith))
-            for item in stmt.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Call) and _callee_name(expr) in (
-                    "span",
-                    "record",
-                ):
-                    updated.add(f"open span@{node.line}")
-        return frozenset(updated)
+                updated.add(f"open span@{node.line}")
+    return frozenset(updated)
 
 
 class ForkSafetyRule(Rule):
@@ -603,9 +380,9 @@ class ForkSafetyRule(Rule):
                 spawn_nodes.append(node)
         if not spawn_nodes:
             return
-        result = solve(cfg, _ForkHazardAnalysis())
+        before = solve(cfg, _fork_hazards)
         for node in spawn_nodes:
-            hazards = sorted(result.entry_facts(node))
+            hazards = sorted(before[node.index])
             if hazards:
                 assert node.stmt is not None
                 yield self.finding(
@@ -776,7 +553,6 @@ class ExceptionShieldRule(Rule):
         return False
 
 
-register_rule(ResourceLifecycleRule)
 register_rule(DeadlineLoopRule)
 register_rule(ForkSafetyRule)
 register_rule(ExceptionShieldRule)

@@ -53,7 +53,7 @@ _NOQA_RE = re.compile(
     re.IGNORECASE,
 )
 
-#: ``# repro: noqa-file[RA007]`` (or bare ``noqa-file``): suppresses the
+#: ``# repro: noqa-file[RA008]`` (or bare ``noqa-file``): suppresses the
 #: named rules for the whole module.  Honoured only in the first
 #: :data:`_FILE_NOQA_WINDOW` physical lines, next to the docstring and
 #: the future import, so a file's opt-outs are visible at the top.

@@ -128,9 +128,9 @@ class ModuleInfo:
     def function_cfgs(self) -> List[Tuple[str, ast.AST, "CFG"]]:
         """``(qualname, function node, CFG)`` per function, built once.
 
-        Several flow rules (RA007–RA009) each need every function's
-        CFG; the per-module cache means the graphs are built once per
-        lint run however many rules ask.
+        The path rules RA008 and RA009 each need every function's CFG;
+        the per-module cache means the graphs are built once per lint
+        run however many rules ask.
         """
         if self._cfgs is None:
             from repro.analysis.cfg import function_cfgs

@@ -307,18 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "code-scanning CI artifact), whatever --format says",
     )
     analyze.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="subtract findings fingerprinted in FILE from the strict "
-        "gate (adopt-then-ratchet; a missing file is an empty baseline)",
-    )
-    analyze.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline FILE from the current error findings "
-        "and exit 0 (the adopt step; requires --baseline)",
-    )
-    analyze.add_argument(
         "--select",
         metavar="RULES",
         help="comma-separated lint rule ids to run (default: all)",
@@ -351,8 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--strict",
         action="store_true",
-        help="gate mode: exit 5 on non-baselined error-severity lint "
-        "findings, 6 on algebra violations, 7 on typing-gate failure "
+        help="gate mode: exit 5 on error-severity lint findings, 6 on "
+        "algebra violations, 7 on typing-gate failure "
         "(warnings and skips stay green)",
     )
 
@@ -729,10 +717,10 @@ def _print_core_if_basic(stored) -> None:
 
 
 #: Rules applied to ``tests/`` and ``benchmarks/`` when the default
-#: discovery lints them: the path-safety invariants travel (a leaked
-#: segment in a benchmark leaks all the same), the source-tree style
-#: rules (annotations, telemetry names, engine contracts) do not.
-_RELAXED_TEST_RULES = ("RA004", "RA007", "RA009", "RA010")
+#: discovery lints them: the path-safety invariants travel (a lock live
+#: at a pool spawn hangs a benchmark all the same), the source-tree
+#: style rules (annotations, telemetry names, engine contracts) do not.
+_RELAXED_TEST_RULES = ("RA004", "RA009", "RA010")
 
 
 def _repo_root() -> Optional[Path]:
@@ -760,13 +748,11 @@ def _cmd_analyze(
     report_path: Optional[str],
     strict: bool,
     sarif_path: Optional[str] = None,
-    baseline_path: Optional[str] = None,
-    update_baseline: bool = False,
 ) -> int:
     """The static-analysis front end: lint + algebra + typing gate.
 
-    Exit codes in ``--strict`` mode: 5 for non-baselined error-severity
-    lint findings, 6 for algebra violations, 7 for a typing-gate
+    Exit codes in ``--strict`` mode: 5 for error-severity lint
+    findings, 6 for algebra violations, 7 for a typing-gate
     *failure* (a skip — mypy not installed — stays green but is
     reported).  Warnings are reported but never gate.  Without
     ``--strict`` everything is reported and the exit code stays 0, so
@@ -775,10 +761,6 @@ def _cmd_analyze(
     import json as json_module
 
     from repro import analysis, obs
-
-    if update_baseline and not baseline_path:
-        print("error: --update-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
 
     rule_selection = (
         [rule_id.strip().upper() for rule_id in select.split(",") if rule_id.strip()]
@@ -828,26 +810,6 @@ def _cmd_analyze(
         for finding in lint_result.findings:
             counter.inc(rule=finding.rule_id)
 
-    # Severity split + baseline ratchet: only *new errors* can gate.
-    errors = [f for f in lint_result.findings if f.severity == "error"]
-    fingerprint_root = root if root is not None else Path.cwd()
-    if update_baseline:
-        assert baseline_path is not None
-        count = analysis.write_baseline(
-            Path(baseline_path), errors, root=fingerprint_root
-        )
-        print(
-            f"baseline written to {baseline_path} "
-            f"({count} fingerprint(s))",
-            file=sys.stderr,
-        )
-    baselined: List["analysis.LintFinding"] = []
-    if baseline_path:
-        known = analysis.load_baseline(Path(baseline_path))
-        errors, baselined = analysis.partition_findings(
-            errors, known, root=fingerprint_root
-        )
-
     algebra_report = None
     if algebra:
         inverse_of = None
@@ -864,15 +826,6 @@ def _cmd_analyze(
 
     payload = {
         "lint": analysis.result_as_dict(lint_result),
-        "baseline": (
-            {
-                "file": baseline_path,
-                "baselined": len(baselined),
-                "new_errors": len(errors),
-            }
-            if baseline_path
-            else None
-        ),
         "algebra": algebra_report.as_dict() if algebra_report else None,
         "typing": typing_report.as_dict() if typing_report else None,
     }
@@ -883,7 +836,7 @@ def _cmd_analyze(
         )
     if sarif_path or output_format == "sarif":
         sarif_text = analysis.render_sarif(
-            lint_result, rules=linter.rules, root=fingerprint_root
+            lint_result, rules=linter.rules, root=root or Path.cwd()
         )
         if sarif_path:
             Path(sarif_path).write_text(sarif_text + "\n", encoding="utf-8")
@@ -893,19 +846,9 @@ def _cmd_analyze(
     elif output_format == "sarif":
         print(sarif_text)
     else:
-        baselined_set = {id(finding) for finding in baselined}
-        if lint_result.findings:
-            for finding in lint_result.findings:
-                marker = (
-                    "  [baselined]" if id(finding) in baselined_set else ""
-                )
-                print(str(finding) + marker)
+        for finding in lint_result.findings:
+            print(finding)
         print(f"lint: {lint_result.summary()}")
-        if baseline_path:
-            print(
-                f"baseline: {len(baselined)} finding(s) tolerated, "
-                f"{len(errors)} new error(s)"
-            )
         if algebra_report is not None:
             print(algebra_report.render())
         if typing_report is not None:
@@ -915,7 +858,7 @@ def _cmd_analyze(
     if report_path:
         print(f"JSON report written to {report_path}", file=sys.stderr)
     if strict:
-        if errors:
+        if any(finding.severity == "error" for finding in lint_result.findings):
             return 5
         if algebra_report is not None and not algebra_report.ok:
             return 6
@@ -1114,8 +1057,6 @@ def _dispatch(arguments: argparse.Namespace) -> int:
                 arguments.report,
                 arguments.strict,
                 arguments.sarif,
-                arguments.baseline,
-                arguments.update_baseline,
             )
         if arguments.command == "profile":
             return _cmd_profile(

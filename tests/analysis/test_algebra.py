@@ -8,8 +8,6 @@ Small relation subsets keep each run well under a second; the full
 511-relation sweep is exercised by `cardirect analyze --algebra` in CI.
 """
 
-import pytest
-
 from repro.analysis import (
     AlgebraReport,
     default_coherence_pairs,

@@ -1,14 +1,9 @@
-"""Worklist dataflow framework: fixed points on small hand-built CFGs."""
+"""Forward may dataflow: fixed points on small hand-built CFGs."""
 
 import ast
 
-from repro.analysis.cfg import EXCEPTION, NORMAL, build_cfg
-from repro.analysis.dataflow import (
-    BACKWARD,
-    FORWARD,
-    DataflowAnalysis,
-    solve,
-)
+from repro.analysis.cfg import build_cfg
+from repro.analysis.dataflow import solve
 
 
 def cfg_of(*lines):
@@ -21,60 +16,22 @@ def cfg_of(*lines):
     return build_cfg(function)
 
 
-class Defs(DataflowAnalysis):
-    """Forward may: which variables have been assigned (no kills)."""
-
-    direction = FORWARD
-    may = True
-
-    def gen(self, node):
-        if node.stmt is None:
-            return frozenset()
-        scan = node.stmt
-        if isinstance(scan, (ast.For, ast.AsyncFor)):
-            scan = scan.target  # the header binds only its target
-        elif not isinstance(scan, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            return frozenset()
-        return frozenset(
-            target.id
-            for target in ast.walk(scan)
-            if isinstance(target, ast.Name)
-            and isinstance(target.ctx, ast.Store)
-        )
+def defs(node, facts):
+    """Which variables have been assigned (no kills)."""
+    scan = node.stmt
+    if isinstance(scan, (ast.For, ast.AsyncFor)):
+        scan = scan.target  # the header binds only its target
+    elif not isinstance(scan, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        return facts
+    return facts | {
+        target.id
+        for target in ast.walk(scan)
+        if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+    }
 
 
-class MustDefs(Defs):
-    """Forward must: variables assigned on *every* path to the node."""
-
-    may = False
-
-    def universe(self, cfg):
-        names = set()
-        for node in cfg.statement_nodes():
-            names |= self.gen(node)
-        return frozenset(names)
-
-
-class Released(DataflowAnalysis):
-    """Backward must: is ``close`` called on every path to exit?"""
-
-    direction = BACKWARD
-    may = False
-
-    def universe(self, cfg):
-        return frozenset({"closed"})
-
-    def gen(self, node):
-        if node.stmt is None:
-            return frozenset()
-        for child in ast.walk(node.stmt):
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "close"
-            ):
-                return frozenset({"closed"})
-        return frozenset()
+def before(cfg, facts, label):
+    return facts[cfg.node(label).index]
 
 
 class TestForwardMay:
@@ -86,11 +43,11 @@ class TestForwardMay:
             "        b = 2",    # 4
             "    return a",     # 5
         )
-        result = solve(cfg, Defs())
-        assert result.entry_facts(cfg.node("assign:2")) == frozenset()
-        assert result.exit_facts(cfg.node("assign:2")) == {"a"}
+        facts = solve(cfg, defs)
+        assert before(cfg, facts, "assign:2") == frozenset()
+        assert before(cfg, facts, "if:3") == {"a"}
         # May-meet at the join: b reaches along one path, so it's in.
-        assert result.entry_facts(cfg.node("return:5")) == {"a", "b"}
+        assert before(cfg, facts, "return:5") == {"a", "b"}
 
     def test_loop_reaches_fixed_point(self):
         cfg = cfg_of(
@@ -100,118 +57,35 @@ class TestForwardMay:
             "        total = x",    # 4
             "    return total",     # 5
         )
-        result = solve(cfg, Defs())
+        facts = solve(cfg, defs)
         # The back edge feeds the loop body's defs into the header.
-        assert result.entry_facts(cfg.node("for:3")) == {"total", "x"}
-        assert result.entry_facts(cfg.node("return:5")) == {"total", "x"}
-
-
-class TestForwardMust:
-    def test_one_sided_branch_drops_fact_at_join(self):
-        cfg = cfg_of(
-            "def f(c):",        # 1
-            "    a = 1",        # 2
-            "    if c:",        # 3
-            "        b = 2",    # 4
-            "    return a",     # 5
-        )
-        result = solve(cfg, MustDefs())
-        # b is assigned on only one of the two joining paths.
-        assert result.entry_facts(cfg.node("return:5")) == {"a"}
-
-    def test_both_branches_keep_fact(self):
-        cfg = cfg_of(
-            "def f(c):",        # 1
-            "    if c:",        # 2
-            "        b = 1",    # 3
-            "    else:",        # 4
-            "        b = 2",    # 5
-            "    return b",     # 6
-        )
-        result = solve(cfg, MustDefs())
-        assert result.entry_facts(cfg.node("return:6")) == {"b"}
-
-
-class TestBackwardMust:
-    def test_release_on_all_paths(self):
-        cfg = cfg_of(
-            "def f(r):",            # 1
-            "    use(r)",           # 2
-            "    r.close()",        # 3
-            "    return None",      # 4
-        )
-        result = solve(cfg, Released())
-        # Before use(r) runs, the *normal* continuation closes r — but
-        # use(r)'s exception edge escapes without closing, so the must
-        # meet over both edge kinds drops the fact.
-        assert result.exit_facts(cfg.node("expr:2")) == frozenset()
-
-    def test_normal_edges_only_restores_guarantee(self):
-        class NormalReleased(Released):
-            edge_kinds = (NORMAL,)
-
-        cfg = cfg_of(
-            "def f(r):",            # 1
-            "    use(r)",           # 2
-            "    r.close()",        # 3
-            "    return None",      # 4
-        )
-        result = solve(cfg, NormalReleased())
-        assert result.exit_facts(cfg.node("expr:2")) == {"closed"}
-        # entry/exit facts stay in program order for backward analyses:
-        # entry includes the node's own transfer, exit is what flowed in.
-        assert result.entry_facts(cfg.node("expr:3")) == {"closed"}
-
-    def test_branch_missing_release_breaks_guarantee(self):
-        class NormalReleased(Released):
-            edge_kinds = (NORMAL,)
-
-        cfg = cfg_of(
-            "def f(r, c):",         # 1
-            "    if c:",            # 2
-            "        r.close()",    # 3
-            "    return None",      # 4
-        )
-        result = solve(cfg, NormalReleased())
-        # The else path skips the close, so the must meet at the branch
-        # comes up empty.
-        assert result.exit_facts(cfg.node("if:2")) == frozenset()
+        assert before(cfg, facts, "for:3") == {"total", "x"}
+        assert before(cfg, facts, "return:5") == {"total", "x"}
 
 
 class TestEdgeKindsAndTransfer:
     def test_exception_only_flow(self):
-        class RaisedInto(DataflowAnalysis):
-            direction = FORWARD
-            may = True
-            edge_kinds = (EXCEPTION,)
-
-            def gen(self, node):
-                return (
-                    frozenset({node.label})
-                    if node.kind == "expr"
-                    else frozenset()
-                )
+        def raised(node, facts):
+            return facts | {node.label} if node.kind == "expr" else facts
 
         cfg = cfg_of(
             "def f():",             # 1
             "    try:",             # 2
             "        step()",       # 3
-            "    except ValueError:",  # 4
-            "        pass",         # 5
+            "        done()",       # 4
+            "    except ValueError:",  # 5
+            "        pass",         # 6
         )
-        result = solve(cfg, RaisedInto())
-        # Only the exception edge feeds the handler.
-        assert result.entry_facts(cfg.node("except:4")) == {"expr:3"}
+        facts = solve(cfg, raised)
+        # The handler is reached only along exception edges: from step()
+        # before done() ran, and from done() after step() had.
+        assert before(cfg, facts, "except:5") == {"expr:3", "expr:4"}
 
-    def test_custom_transfer_overrides_gen_kill(self):
-        class Parity(DataflowAnalysis):
-            direction = FORWARD
-            may = True
-
-            def transfer(self, node, facts):
-                if node.kind == "assign":
-                    return frozenset({"odd" if "even" in facts else "even"})
-                return facts
+    def test_custom_transfer_replaces_facts(self):
+        def parity(node, facts):
+            if node.kind == "assign":
+                return frozenset({"odd" if "even" in facts else "even"})
+            return facts
 
         cfg = cfg_of(
             "def f():",     # 1
@@ -219,16 +93,19 @@ class TestEdgeKindsAndTransfer:
             "    b = 2",    # 3
             "    return b",  # 4
         )
-        result = solve(cfg, Parity())
-        assert result.exit_facts(cfg.node("assign:2")) == {"even"}
-        assert result.exit_facts(cfg.node("assign:3")) == {"odd"}
+        facts = solve(cfg, parity)
+        assert before(cfg, facts, "assign:3") == {"even"}
+        assert before(cfg, facts, "return:4") == {"odd"}
 
-    def test_unreachable_node_keeps_top(self):
+    def test_unreachable_node_stays_empty(self):
         cfg = cfg_of(
-            "def f():",         # 1
-            "    return 1",     # 2
-            "    a = 2",        # 3  (dead: never becomes a node)
+            "def f():",             # 1
+            "    while True:",      # 2
+            "        a = 1",        # 3
         )
-        result = solve(cfg, MustDefs())
-        # The exit is reachable; its facts come only from live paths.
-        assert result.entry_facts(cfg.exit) == frozenset()
+        facts = solve(cfg, defs)
+        assert before(cfg, facts, "while:2") == {"a"}
+        # The loop never exits, so no edge reaches the exit node: it
+        # keeps the empty start value.
+        assert cfg.predecessors(cfg.exit) == []
+        assert before(cfg, facts, "exit") == frozenset()

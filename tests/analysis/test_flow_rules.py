@@ -1,6 +1,10 @@
-"""Positive/negative fixtures for the flow-sensitive rules RA007–RA010."""
+"""Positive/negative fixtures for the path rules RA008–RA010."""
 
-from repro.analysis import Linter
+import ast
+from pathlib import Path
+
+import repro
+from repro.analysis import Linter, flow_rules
 
 
 def lint(source, *, module="repro.core.fixture", select=None):
@@ -13,125 +17,6 @@ def lint(source, *, module="repro.core.fixture", select=None):
 
 def rule_ids(findings):
     return [finding.rule_id for finding in findings]
-
-
-class TestResourceLifecycle:
-    """RA007 — acquisitions must reach unlink() on all paths."""
-
-    def test_build_without_destroy_on_exception_path(self):
-        # The seeded violation: compute() may raise between the
-        # acquisition and unlink(), leaking the segment.
-        findings = lint(
-            "def sweep(size):\n"
-            "    segment = SharedMemory(create=True, size=size)\n"
-            "    results = compute(segment)\n"
-            "    segment.unlink()\n"
-            "    return results\n",
-            select=["RA007"],
-        )
-        assert rule_ids(findings) == ["RA007"]
-        assert findings[0].line == 2
-        assert "unlink()" in findings[0].message
-        assert findings[0].severity == "error"
-
-    def test_try_finally_release_is_clean(self):
-        findings = lint(
-            "def sweep(size):\n"
-            "    segment = SharedMemory(create=True, size=size)\n"
-            "    try:\n"
-            "        return compute(segment)\n"
-            "    finally:\n"
-            "        segment.unlink()\n",
-            select=["RA007"],
-        )
-        assert findings == []
-
-    def test_context_manager_is_clean(self):
-        findings = lint(
-            "def sweep(size):\n"
-            "    with SharedMemory(create=True, size=size) as segment:\n"
-            "        return compute(segment)\n",
-            select=["RA007"],
-        )
-        assert findings == []
-
-    def test_returning_the_resource_transfers_ownership(self):
-        findings = lint(
-            "def open_segment(size):\n"
-            "    segment = SharedMemory(create=True, size=size)\n"
-            "    return segment\n",
-            select=["RA007"],
-        )
-        assert findings == []
-
-    def test_storing_on_self_transfers_ownership(self):
-        findings = lint(
-            "def attach(self, size):\n"
-            "    segment = SharedMemory(create=True, size=size)\n"
-            "    self._segment = segment\n"
-            "    configure(self)\n"
-            "    return None\n",
-            select=["RA007"],
-        )
-        assert findings == []
-
-    def test_container_append_transfers_ownership(self):
-        findings = lint(
-            "def pool_up(size, segments):\n"
-            "    segment = SharedMemory(create=True, size=size)\n"
-            "    segments.append(segment)\n"
-            "    warm(segments)\n"
-            "    return None\n",
-            select=["RA007"],
-        )
-        assert findings == []
-
-    def test_shared_memory_create_true_is_tracked(self):
-        findings = lint(
-            "def allocate(size):\n"
-            "    segment = SharedMemory(create=True, size=size)\n"
-            "    initialise(segment)\n"
-            "    segment.unlink()\n"
-            "    return None\n",
-            select=["RA007"],
-        )
-        assert rule_ids(findings) == ["RA007"]
-        assert "shared-memory segment" in findings[0].message
-
-    def test_shared_memory_attach_is_not_an_acquisition(self):
-        findings = lint(
-            "def attach(name):\n"
-            "    segment = SharedMemory(name=name, create=False)\n"
-            "    return read(segment)\n",
-            select=["RA007"],
-        )
-        assert findings == []
-
-    def test_store_into_buffer_does_not_kill_the_fact(self):
-        # ``segment.buf[0] = data`` stores *into* the resource; the name
-        # still owns it, and the finally still releases it.
-        findings = lint(
-            "def fill(size, data):\n"
-            "    segment = SharedMemory(create=True, size=size)\n"
-            "    try:\n"
-            "        segment.buf[0] = data\n"
-            "        return finish(segment)\n"
-            "    finally:\n"
-            "        segment.unlink()\n",
-            select=["RA007"],
-        )
-        assert findings == []
-
-    def test_release_on_one_branch_only_is_flagged(self):
-        findings = lint(
-            "def sweep(size, keep):\n"
-            "    segment = SharedMemory(create=True, size=size)\n"
-            "    if keep:\n"
-            "        segment.unlink()\n"
-            "    return None\n",
-            select=["RA007"],
-        )
-        assert rule_ids(findings) == ["RA007"]
 
 
 class TestDeadlineLoop:
@@ -207,6 +92,20 @@ class TestDeadlineLoop:
         )
         assert lint(source, module="repro.cardirect.fixture", select=["RA008"]) == []
         assert rule_ids(lint(source, module="repro.reasoning.fixture", select=["RA008"])) == ["RA008"]
+
+
+class TestCallVocabulary:
+    """RA008 keys on call names; each must name a function that exists."""
+
+    def test_work_and_checkpoint_calls_are_defined_in_the_package(self):
+        defined = {
+            node.name
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        names = flow_rules._WORK_CALLS | flow_rules._CHECKPOINT_CALLS
+        assert sorted(names - defined) == []
 
 
 class TestForkSafety:

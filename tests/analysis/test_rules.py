@@ -1,7 +1,5 @@
 """Per-rule positive/negative fixtures for the domain lint rules."""
 
-import pytest
-
 from repro.analysis import Linter
 
 

@@ -31,25 +31,26 @@ class TestReportShape:
         assert driver["name"] == "repro-analyze"
         assert "informationUri" in driver
         ids = [rule["id"] for rule in driver["rules"]]
-        assert ids == sorted(ids)
-        assert {"RA007", "RA008", "RA009", "RA010"} <= set(ids)
+        assert ids == [
+            "RA001", "RA002", "RA003", "RA004", "RA005", "RA006",
+            "RA008", "RA009", "RA010",
+        ]
         for rule in driver["rules"]:
             assert rule["shortDescription"]["text"]
 
     def test_results_reference_rules_by_index(self):
         result, rules = run_linter(
-            "def sweep(size):\n"
-            "    segment = SharedMemory(create=True, size=size)\n"
-            "    work(segment)\n"
-            "    segment.unlink()\n",
-            select=["RA007"],
+            "def sweep(pairs):\n"
+            "    for pair in pairs:\n"
+            "        _compute_pair(pair)\n",
+            select=["RA008"],
         )
         assert len(result.findings) == 1
         report = sarif_report(result, rules=rules)
         driver = report["runs"][0]["tool"]["driver"]
         (entry,) = report["runs"][0]["results"]
-        assert entry["ruleId"] == "RA007"
-        assert driver["rules"][entry["ruleIndex"]]["id"] == "RA007"
+        assert entry["ruleId"] == "RA008"
+        assert driver["rules"][entry["ruleIndex"]]["id"] == "RA008"
         assert entry["level"] == "error"
         assert entry["message"]["text"]
         location = entry["locations"][0]["physicalLocation"]
@@ -76,12 +77,12 @@ class TestReportShape:
         module.parent.mkdir()
         module.write_text("x = 1\n", encoding="utf-8")
         finding = LintFinding(
-            rule_id="RA007",
-            rule_name="resource-lifecycle",
+            rule_id="RA009",
+            rule_name="fork-safety",
             path=str(module),
             line=1,
             column=1,
-            message="leak",
+            message="lock live at spawn",
         )
         report = sarif_report(LintResult(findings=[finding]), root=tmp_path)
         location = report["runs"][0]["results"][0]["locations"][0]

@@ -116,58 +116,6 @@ class TestSarifOutput:
         assert driver["name"] == "repro-analyze"
 
 
-class TestBaseline:
-    def test_update_baseline_adopts_then_strict_passes(
-        self, dirty_tree, tmp_path, capsys
-    ):
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "analyze", str(dirty_tree), "--no-mypy",
-            "--baseline", str(baseline), "--update-baseline",
-        ]) == 0
-        assert baseline.exists()
-        # Adopted: the same findings no longer fail the strict gate.
-        assert main([
-            "analyze", str(dirty_tree), "--no-mypy", "--strict",
-            "--baseline", str(baseline),
-        ]) == 0
-        assert "[baselined]" in capsys.readouterr().out
-
-    def test_new_findings_still_fail_strict(self, dirty_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "analyze", str(dirty_tree), "--no-mypy",
-            "--baseline", str(baseline), "--update-baseline",
-        ]) == 0
-        # A new violation appears in another file: strict must fail.
-        extra = dirty_tree / "repro" / "core" / "worse.py"
-        extra.write_text(FLOATY, encoding="utf-8")
-        assert main([
-            "analyze", str(dirty_tree), "--no-mypy", "--strict",
-            "--baseline", str(baseline),
-        ]) == 5
-
-    def test_missing_baseline_file_means_empty(self, dirty_tree, tmp_path):
-        assert main([
-            "analyze", str(dirty_tree), "--no-mypy", "--strict",
-            "--baseline", str(tmp_path / "absent.json"),
-        ]) == 5
-
-    def test_update_baseline_requires_baseline_path(self, dirty_tree, capsys):
-        assert main([
-            "analyze", str(dirty_tree), "--no-mypy", "--update-baseline",
-        ]) == 2
-        assert "--baseline" in capsys.readouterr().err
-
-    def test_corrupt_baseline_is_a_usage_error(self, dirty_tree, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("not json", encoding="utf-8")
-        assert main([
-            "analyze", str(dirty_tree), "--no-mypy",
-            "--baseline", str(baseline),
-        ]) == 2
-
-
 class TestObservability:
     def test_findings_feed_the_metrics_registry(self, dirty_tree):
         from repro import obs

@@ -1,7 +1,5 @@
 """Tests for configuration diffing."""
 
-import pytest
-
 from repro.cardirect.diff import diff_configurations
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.geometry.region import Region

@@ -11,11 +11,9 @@ import pytest
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.cardirect.store import RelationStore
 from repro.core.batch import (
-    FAILED,
     OK,
     REPAIRED,
     BatchReport,
-    PairOutcome,
     batch_relations,
 )
 from repro.core.compute import compute_cdr

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.baseline import compute_cdr_clipping
 from repro.core.compute import compute_cdr, compute_cdr_against_box
-from repro.core.relation import ALL_BASIC_RELATIONS, CardinalDirection
+from repro.core.relation import ALL_BASIC_RELATIONS
 from repro.core.tiles import Tile
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import Region

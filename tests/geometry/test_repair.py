@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.validate import validate_region
 from repro.errors import GeometryError
-from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon, _twice_signed_area
+from repro.geometry.polygon import _twice_signed_area
 from repro.geometry.region import Region
 from repro.geometry.repair import (
     LENIENT,

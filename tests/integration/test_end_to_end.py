@@ -17,7 +17,6 @@ from repro.cardirect import (
     parse_query,
 )
 from repro.core.compute import compute_cdr
-from repro.core.relation import CardinalDirection
 from repro.extensions.distance import DistanceFrame
 from repro.workloads.generators import random_rectilinear_region
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.percentages import compute_cdr_percentages
 from repro.core.tiles import Tile, tiles_of_point
-from repro.geometry.bbox import BoundingBox
 from repro.geometry.point import Point
 from repro.geometry.predicates import point_in_region
 from repro.geometry.region import Region

@@ -6,8 +6,6 @@ wall-clock budget it returns UNKNOWN verdicts / reports labelled
 ``deadline_exceeded`` — never a hang, never a silent wrong answer.
 """
 
-import pytest
-
 from repro import obs
 from repro.core.relation import CardinalDirection
 from repro.reasoning.consistency import (

@@ -3,7 +3,7 @@
 from repro.core.compute import compute_cdr
 from repro.geometry.point import Point
 from repro.geometry.predicates import point_in_region
-from repro.workloads.scenarios import figure2_regions, unit_square_region
+from repro.workloads.scenarios import figure2_regions
 
 
 class TestFigure2:

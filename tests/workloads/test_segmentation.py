@@ -1,7 +1,5 @@
 """Tests for the synthetic segmentation front end."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
