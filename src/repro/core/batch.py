@@ -81,7 +81,8 @@ from repro.core.engine import Engine, EngineLike, EngineStats, create_engine, re
 from repro.core.matrix import PercentageMatrix
 from repro.core.plane import GeometryPlane
 from repro.core.relation import RELATIONS_BY_MASK, CardinalDirection
-from repro.core.sweep import AREA_TILE_ORDER, BROADCAST_PATH, PRUNE_MATRICES, PRUNE_PATH
+from repro.core.fast import AREA_TILE_ORDER
+from repro.core.sweep import BROADCAST_PATH, PRUNE_MATRICES, PRUNE_PATH
 from repro.core.sweep import PLANE_PATH_BROADCAST, PLANE_PATH_PRUNE
 from repro.core.validate import ERROR, validate_region
 from repro.errors import DeadlineExceeded, GeometryError, InjectedFault, ReproError
@@ -94,7 +95,7 @@ from repro.resilience.deadline import (
     current_deadline,
     deadline_scope,
 )
-from repro.resilience.faults import fault_point, maybe_corrupt
+from repro.resilience.faults import FaultInjector, current_injector
 from repro.resilience.retry import RetryPolicy, count_retry
 
 #: Outcome statuses.
@@ -204,8 +205,9 @@ class OutcomeTable(SequenceABC):
     kernel's ``areas`` block.
 
     Reading decodes :class:`PairOutcome` objects afresh, a row at a
-    time, and keeps none of them.  Assigning an item encodes it into its
-    slot, so every reader of the report sees the change.
+    time, and keeps none of them; a slice reads as a list.  Assigning an
+    item encodes it into its slot, so every reader of the report sees
+    the change.
     """
 
     def __init__(
@@ -246,6 +248,8 @@ class OutcomeTable(SequenceABC):
         return chain.from_iterable(map(self.decode, range(len(self.primary_ids))))
 
     def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(self.size))]
         row, column = self.locate(index)
         return self.decode(row, [column])[0]
 
@@ -561,12 +565,13 @@ def _pair_outcome(sweep: "_Sweep", primary_id: str, reference_id: str) -> _Answe
             if pause > 0.0:
                 time.sleep(pause)
         try:
-            fault_point(
-                "batch.pair",
-                primary=primary_id,
-                reference=reference_id,
-                attempt=attempt,
-            )
+            if sweep.injector is not None:
+                sweep.injector.trigger(
+                    "batch.pair",
+                    primary=primary_id,
+                    reference=reference_id,
+                    attempt=attempt,
+                )
             relation, matrix, path = _compute_pair(
                 primary, box, engine=sweep.backend, percentages=sweep.percentages
             )
@@ -766,12 +771,15 @@ def _plane_block(
     return rows_done, (masks, paths, areas)
 
 
-def _region_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
+def _region_block(
+    backend: Engine, task: dict, injector: Optional[FaultInjector]
+) -> Tuple[int, tuple]:
     """Any other engine's chunk: :func:`_sweep_rows` over Region maps.
 
     The same call the inline fallback makes, on per-chunk copies of the
     installed maps so every chunk starts from the parent's validated
-    state whichever worker serves it, into a table of the chunk's rows.
+    state whichever worker serves it, into a table of the chunk's rows;
+    its pairs fire the chunk's fault ``injector``.
     Returns the whole chunk as done (pairs past the deadline come back
     labelled ``DEADLINE``) with that table — arrays and sparse maps, no
     per-pair objects beyond the percentage matrices — and the repairs
@@ -803,6 +811,7 @@ def _region_block(backend: Engine, task: dict) -> Tuple[int, tuple]:
         backend=backend,
         repair=repair,
         policy=policy,
+        injector=injector,
     )
     _sweep_rows(sweep, 0, len(table.primary_ids))
     new_repairs = {
@@ -833,7 +842,9 @@ def _pool_chunk(task: dict) -> tuple:
     """
     chunk_index = task["chunk_index"]
     attempt = task["attempt"]
-    fault_point("batch.worker", chunk=chunk_index, attempt=attempt)
+    injector = current_injector()
+    if injector is not None:
+        injector.trigger("batch.worker", chunk=chunk_index, attempt=attempt)
     engine_name, engine_options = _WORKER["engine_spec"]
     backend = create_engine(engine_name, **engine_options)
     plane = _WORKER["plane"]
@@ -851,7 +862,7 @@ def _pool_chunk(task: dict) -> tuple:
             with obs.span("batch.chunk", chunk=chunk_index, primaries=rows):
                 with deadline_scope(task.get("deadline_seconds")):
                     rows_done, block = (
-                        _region_block(backend, task)
+                        _region_block(backend, task, injector)
                         if plane is None
                         else _plane_block(backend, task, plane, _WORKER["restriction"])
                     )
@@ -883,7 +894,9 @@ class _Sweep:
     every region, in configuration order).  ``plane`` is set for a plane
     engine only.  It holds the geometry as validated, so its rows are
     labelled from the repairs and unusable regions known when it was
-    built, not from what a per-pair retry repairs later.
+    built, not from what a per-pair retry repairs later.  ``injector``
+    is the fault injector the sweep's pairs fire, resolved once per
+    sweep (``None``: none armed).
     """
 
     table: OutcomeTable
@@ -899,6 +912,7 @@ class _Sweep:
     plane: Optional[GeometryPlane] = None
     row_index: Optional[Tuple[int, ...]] = None
     column_index: Optional[Tuple[int, ...]] = None
+    injector: Optional[FaultInjector] = None
 
     def __post_init__(self) -> None:
         self.plane_repaired = frozenset(self.repairs)
@@ -1337,14 +1351,15 @@ def batch_relations(
         )
     policy = retry_policy if retry_policy is not None else DEFAULT_BATCH_RETRY_POLICY
     backend = resolve_engine("exact" if engine is None else engine)
+    injector = current_injector()
     healthy: Dict[str, Region] = {}
     repairs: Dict[str, RepairReport] = {}
     broken: Dict[str, str] = {}
 
     for annotated in configuration:
-        region = maybe_corrupt(
-            "batch.region", annotated.region, region_id=annotated.id
-        )
+        region = annotated.region
+        if injector is not None:
+            region = injector.corrupt("batch.region", region, region_id=annotated.id)
         if validate:
             issues = _error_issues(region, annotated.id)
             if issues:
@@ -1413,6 +1428,7 @@ def batch_relations(
                 backend=backend,
                 repair=repair,
                 policy=policy,
+                injector=injector,
                 plane=(
                     GeometryPlane.build(all_ids, healthy=healthy, boxes=boxes)
                     if backend.supports_plane

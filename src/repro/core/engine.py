@@ -217,7 +217,8 @@ class Engine:
     path — and an all-pairs sweep historically rebuilt them O(n) times
     per primary (once per reference box, and again for the percentage
     call of the same pair).  Engines that consume edge arrays
-    (``fast``, ``guarded``, ``sweep``) fetch them via
+    (``fast``, ``guarded`` and the ``sweep`` engine's per-pair calls;
+    its plane sweep reads the plane's own arrays) fetch them via
     :meth:`edge_arrays` so one build serves every reference box and
     both operations; hits are visible as
     ``stats.edge_cache_hits``.  ``edge_cache_size=0`` disables caching
@@ -269,7 +270,8 @@ class Engine:
     # -- edge-array cache --------------------------------------------
 
     def edge_arrays(self, primary: Region) -> Tuple:
-        """The primary's float64 edge arrays, cached per region object.
+        """The primary's float64 edge arrays
+        (:class:`~repro.core.fast.EdgeArrays`), cached per region object.
 
         One build serves every reference box *and* both the relation
         and percentage calls of a pair; hits are recorded in
@@ -438,11 +440,13 @@ class ExactEngine(Engine):
 
 
 class FastEngine(Engine):
-    """The vectorised float64 numpy path (:mod:`repro.core.fast`).
+    """The vectorised float64 numpy path (:mod:`repro.core.fast`): the
+    kernel the sweep engine runs over whole rows, called with one box.
 
     Appropriate for large float workloads where exact rational
     percentages are not required; only as exact as float64 for ties at
-    the grid lines.  Edge arrays come from the base class's per-primary
+    the grid lines, and it never prunes, so it stays the unpruned float
+    baseline.  Edge arrays come from the base class's per-primary
     cache, so an all-pairs sweep builds each primary's arrays once
     rather than once per pair.
     """

@@ -42,7 +42,8 @@ from repro.core.compute import (
     compute_cdr_against_box,
 )
 from repro.core.fast import (
-    _edge_arrays,
+    EdgeArrays,
+    _edges_of,
     compute_cdr_fast_against_box,
     tile_areas_fast,
 )
@@ -111,10 +112,10 @@ class GuardedValue(NamedTuple):
 
 
 def _risk_reasons(
-    arrays: Tuple[np.ndarray, ...], box: BoundingBox, epsilon: float
+    arrays: EdgeArrays, box: BoundingBox, epsilon: float
 ) -> Tuple[str, ...]:
     """Ill-conditioning flags for a primary (as edge arrays) vs a box."""
-    x1, y1, dx, dy = arrays
+    x1, y1, dx, dy = arrays.x1, arrays.y1, arrays.dx, arrays.dy
     m1, m2 = float(box.min_x), float(box.max_x)
     l1, l2 = float(box.min_y), float(box.max_y)
     reasons = []
@@ -171,14 +172,14 @@ def _risk_reasons(
     return tuple(reasons)
 
 
-def _float_region_area(arrays: Tuple[np.ndarray, ...]) -> float:
+def _float_region_area(arrays: EdgeArrays) -> float:
     """The region's total area from its edge arrays (float shoelace).
 
     Valid for clockwise polygons with disjoint interiors: every
     polygon's signed contribution has the same sign, so the absolute
     value of the global sum is the total area.
     """
-    x1, y1, dx, dy = arrays
+    x1, y1, dx, dy = arrays.x1, arrays.y1, arrays.dx, arrays.dy
     return abs(float(np.sum(x1 * dy - y1 * dx))) / 2.0
 
 
@@ -238,13 +239,13 @@ def guarded_percentages_against_box(
     historically both entry points rebuilt them independently, doubling
     the dominant cost of every percentages-bearing pair.
     """
-    arrays = _edge_arrays(primary) if arrays is None else arrays
-    reasons = list(_risk_reasons(arrays, box, epsilon))
+    edges = _edges_of(primary, arrays)
+    reasons = list(_risk_reasons(edges, box, epsilon))
     if not reasons:
         try:
-            areas = tile_areas_fast(primary, box, arrays=arrays)
+            areas = tile_areas_fast(primary, box, arrays=edges)
             total = sum(areas.values())
-            region_area = _float_region_area(arrays)
+            region_area = _float_region_area(edges)
             drift = abs(total - region_area)
             if drift <= drift_tolerance * max(1.0, region_area):
                 return GuardedValue(
@@ -299,10 +300,10 @@ def guarded_cdr_against_box(
     ``arrays`` shares a previously-built edge-array set (see
     :func:`guarded_percentages_against_box`).
     """
-    arrays = _edge_arrays(primary) if arrays is None else arrays
-    reasons = _risk_reasons(arrays, box, epsilon)
+    edges = _edges_of(primary, arrays)
+    reasons = _risk_reasons(edges, box, epsilon)
     if not reasons:
-        relation = compute_cdr_fast_against_box(primary, box, arrays=arrays)
+        relation = compute_cdr_fast_against_box(primary, box, arrays=edges)
         return GuardedValue(relation, GuardDiagnostics(FAST_PATH, (), epsilon))
     deadline = current_deadline()
     if deadline is not None:

@@ -315,50 +315,6 @@ class SpatialIndex:
 
     # -- construction -------------------------------------------------
 
-    @classmethod
-    def from_plane_rows(
-        cls,
-        ids: Sequence[str],
-        rows: np.ndarray,
-        *,
-        health: Optional[np.ndarray] = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
-    ) -> "SpatialIndex":
-        """Bulk-load from columnar ``(n, 4)`` float64 mbb rows.
-
-        ``rows`` uses the :class:`~repro.core.plane.GeometryPlane` box
-        layout ``(min_x, max_x, min_y, max_y)``; rows with ``health ==
-        0`` (or any NaN coordinate) stay unindexed.  Float rows are
-        taken as exact — this is the right entry point when the
-        coordinates came out of the plane's own float64 arrays.
-        """
-        index = cls.__new__(cls)
-        index._ids = tuple(ids)
-        index._positions = {
-            region_id: position for position, region_id in enumerate(index._ids)
-        }
-        if len(index._positions) != len(index._ids):
-            raise ValueError("duplicate region id in index")
-        if page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {page_size}")
-        index._page_size = page_size
-        n = len(index._ids)
-        data = np.asarray(rows, dtype=np.float64)
-        if data.shape != (n, 4):
-            raise ValueError(
-                f"expected ({n}, 4) box rows, got {data.shape}"
-            )
-        index._lo = data.copy()
-        index._hi = data.copy()
-        usable = ~np.isnan(data).any(axis=1)
-        if health is not None:
-            usable &= np.asarray(health, dtype=bool)
-        index._indexed = usable
-        index._lo[~usable] = np.nan
-        index._hi[~usable] = np.nan
-        index._pack()
-        return index
-
     def _write_row(self, position: int, box: BoundingBox) -> None:
         values = (box.min_x, box.max_x, box.min_y, box.max_y)
         for dim, value in enumerate(values):

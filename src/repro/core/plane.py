@@ -7,7 +7,9 @@ Every ``sweep`` of a plane engine (``Engine.supports_plane``) runs
 index, with no :class:`~repro.geometry.region.Region` objects left::
 
     offsets  int64   (n+1)    per-region edge ranges (broken rows empty)
-    rings    int64   (P)      each polygon's first edge, in edge order
+    rings    int64   (P)      each polygon's first edge, counted from its
+                              region's first edge, in edge order
+    ring_offsets int64 (n+1)  per-region ranges of ``rings``
     boxes    float64 (n, 4)   mbb per region: min_x, max_x, min_y, max_y
     health   uint8   (n)      1 = usable, 0 = broken (box row is NaN)
     x1 y1 x2 y2  float64 (E)  edge endpoints, concatenated in id order
@@ -15,20 +17,25 @@ index, with no :class:`~repro.geometry.region.Region` objects left::
 A serial sweep hands the plane to the kernel inline; under
 ``workers=N`` the pool initializer receives the same object, which
 workers inherit under ``fork`` and receive as one pickled copy each
-under ``spawn`` / ``forkserver`` — never once per chunk.  Edge
-endpoints are stored as ``(x1, y1, x2, y2)`` — *not* ``(dx, dy)`` — so
-the exact float64 vertex values of :func:`repro.core.fast._edge_arrays`
-are kept; the deltas are derived with the same ``x2 - x1`` subtraction
-the per-pair kernel performs.
+under ``spawn`` / ``forkserver`` — never once per chunk.  The plane is
+built from the per-region edge loop of :func:`repro.core.fast._edge_lists`
+and hands the kernel each row as the same
+:class:`~repro.core.fast.EdgeArrays` the per-pair path builds
+(:meth:`GeometryPlane.edge_arrays`): endpoints are stored as ``(x1, y1,
+x2, y2)`` so the exact float64 vertex values are kept, and the deltas
+are derived with the same ``x2 - x1`` subtraction.
 
 Coordinate caveat: the plane is float64.  ``int`` coordinates (and any
 float input) are preserved exactly; ``Fraction`` coordinates beyond
 float64 precision are rounded at :func:`build` time, exactly as the
-per-pair float kernels round them at :func:`repro.core.fast._edge_arrays`
-time — the prune path, however, compares float boxes here where the
-per-pair prune compares native types, so astronomically large exact
-coordinates may prune differently.  The equivalence suites cover the
-int/float workloads the repo generates.
+per-pair calls of the kernel round them at
+:func:`repro.core.fast._edge_arrays` time.  The kernel's
+centre-of-``mbb`` test is exact while the coordinate products it forms
+stay below 2^53, per pair as over the plane.  The prune path, however,
+compares float boxes here where the per-pair prune compares native
+types, so astronomically large exact coordinates may prune differently.
+The equivalence suites cover the int/float workloads the repo
+generates.
 """
 
 from __future__ import annotations
@@ -37,29 +44,11 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.fast import EdgeArrays, _edge_lists
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.region import Region
 
 __all__ = ["GeometryPlane"]
-
-
-def _region_edges(region: Region) -> Tuple[list, list, list, list]:
-    """Edge endpoints as float lists — the loop of ``_edge_arrays``,
-    keeping ``(x2, y2)`` instead of folding them into deltas."""
-    x1_list: list = []
-    y1_list: list = []
-    x2_list: list = []
-    y2_list: list = []
-    for polygon in region.polygons:
-        vertices = polygon.vertices
-        count = len(vertices)
-        for i in range(count):
-            a, b = vertices[i], vertices[(i + 1) % count]
-            x1_list.append(float(a.x))
-            y1_list.append(float(a.y))
-            x2_list.append(float(b.x))
-            y2_list.append(float(b.y))
-    return x1_list, y1_list, x2_list, y2_list
 
 
 class GeometryPlane:
@@ -74,6 +63,7 @@ class GeometryPlane:
         ids: Tuple[str, ...],
         offsets: np.ndarray,
         rings: np.ndarray,
+        ring_offsets: np.ndarray,
         boxes: np.ndarray,
         health: np.ndarray,
         x1: np.ndarray,
@@ -84,6 +74,7 @@ class GeometryPlane:
         self.ids = ids
         self.offsets = offsets
         self.rings = rings
+        self.ring_offsets = ring_offsets
         self.boxes = boxes
         self.health = health
         self.x1 = x1
@@ -110,6 +101,7 @@ class GeometryPlane:
         """
         n = len(all_ids)
         offsets = np.zeros(n + 1, dtype=np.int64)
+        ring_offsets = np.zeros(n + 1, dtype=np.int64)
         box_rows = np.full((n, 4), np.nan, dtype=np.float64)
         health = np.zeros(n, dtype=np.uint8)
         rings: list = []
@@ -119,31 +111,28 @@ class GeometryPlane:
         y2_all: list = []
         for index, region_id in enumerate(all_ids):
             region = healthy.get(region_id)
-            if region is None:
-                offsets[index + 1] = offsets[index]
-                continue
-            x1_list, y1_list, x2_list, y2_list = _region_edges(region)
-            edge = len(x1_all)
-            for polygon in region.polygons:
-                rings.append(edge)
-                edge += len(polygon.vertices)
-            x1_all.extend(x1_list)
-            y1_all.extend(y1_list)
-            x2_all.extend(x2_list)
-            y2_all.extend(y2_list)
-            offsets[index + 1] = offsets[index] + len(x1_list)
-            box = boxes[region_id]
-            box_rows[index] = (
-                float(box.min_x),
-                float(box.max_x),
-                float(box.min_y),
-                float(box.max_y),
-            )
-            health[index] = 1
+            if region is not None:
+                x1_list, y1_list, x2_list, y2_list, ring_list = _edge_lists(region)
+                rings.extend(ring_list)
+                x1_all.extend(x1_list)
+                y1_all.extend(y1_list)
+                x2_all.extend(x2_list)
+                y2_all.extend(y2_list)
+                box = boxes[region_id]
+                box_rows[index] = (
+                    float(box.min_x),
+                    float(box.max_x),
+                    float(box.min_y),
+                    float(box.max_y),
+                )
+                health[index] = 1
+            offsets[index + 1] = len(x1_all)
+            ring_offsets[index + 1] = len(rings)
         return cls(
             ids=tuple(all_ids),
             offsets=offsets,
             rings=np.asarray(rings, dtype=np.int64),
+            ring_offsets=ring_offsets,
             boxes=box_rows,
             health=health,
             x1=np.asarray(x1_all, dtype=np.float64),
@@ -160,8 +149,9 @@ class GeometryPlane:
         return len(self.ids)
 
     def deltas(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(dx, dy)`` — derived lazily with the per-pair kernel's
-        exact ``x2 - x1`` subtraction, cached per plane."""
+        """``(dx, dy)`` — derived lazily with the exact ``x2 - x1``
+        subtraction of :func:`repro.core.fast._edge_arrays`, cached per
+        plane."""
         if self._deltas is None:
             self._deltas = (self.x2 - self.x1, self.y2 - self.y1)
         return self._deltas
@@ -172,12 +162,20 @@ class GeometryPlane:
             self._healthy_columns = np.nonzero(self.health)[0]
         return self._healthy_columns
 
-    def ring_starts(self, row: int) -> np.ndarray:
-        """The first edge of each of a row's polygons, counted from the
-        row's own first edge."""
+    def edge_arrays(self, row: int) -> EdgeArrays:
+        """One region row's edges as the kernel takes them: views into
+        the plane's columns, no copy."""
         first, last = self.edge_slice(row)
-        lo, hi = np.searchsorted(self.rings, (first, last))
-        return self.rings[lo:hi] - first
+        dx, dy = self.deltas()
+        return EdgeArrays(
+            self.x1[first:last],
+            self.y1[first:last],
+            dx[first:last],
+            dy[first:last],
+            self.x2[first:last],
+            self.y2[first:last],
+            self.rings[int(self.ring_offsets[row]) : int(self.ring_offsets[row + 1])],
+        )
 
     def edge_slice(self, row: int) -> Tuple[int, int]:
         """The ``[start, stop)`` edge-array range of one region row."""

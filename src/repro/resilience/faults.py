@@ -8,12 +8,16 @@ by seeding a private :class:`random.Random` with those values.  No
 shared counters, no cross-process coordination: a forked worker holding
 a copy of the injector makes exactly the decisions the parent would.
 
-Injection points are named ``site`` strings sprinkled through
-production code as :func:`fault_point` / :func:`maybe_corrupt` calls —
-single ``None``-check no-ops unless an injector is installed (directly
-via :func:`install_injector` / :class:`injecting`, or through the
-``REPRO_FAULTS`` environment variable, which reaches process-pool
-workers however they were started).  Current sites:
+Injection points are named ``site`` strings in production code.  An
+injector is armed directly (:func:`install_injector` /
+:class:`injecting`) or through the ``REPRO_FAULTS`` environment
+variable, which reaches process-pool workers however they were started.
+Resolving it (:func:`current_injector`) reads that variable, which
+costs microseconds, so the hot loops resolve it once — per
+``batch_relations`` call, per pool chunk and per ``sweep_plane`` call —
+and call :meth:`FaultInjector.trigger` / :meth:`FaultInjector.corrupt`
+only when one is armed; elsewhere :func:`fault_point` /
+:func:`maybe_corrupt` resolve and fire in one call.  Current sites:
 
 ========================  ===================================================
 ``batch.worker``          top of a parallel chunk (ctx: chunk, attempt)
@@ -293,8 +297,11 @@ def current_injector() -> Optional[FaultInjector]:
     """The installed injector, or one parsed from ``REPRO_FAULTS``.
 
     The environment variable is re-read on every call but re-parsed
-    only when its raw value changes, so the common no-fault path costs
-    one dict lookup.  A directly-installed injector always wins over
+    only when its raw value changes.  Even so, the no-fault path costs
+    an ``os.environ`` lookup, which encodes the key and decodes the
+    value on every call — many times the cost of a dict get — so
+    callers that fire per pair or per row resolve the injector once per
+    sweep and keep it.  A directly-installed injector always wins over
     the environment.
     """
     if _ACTIVE is not None:

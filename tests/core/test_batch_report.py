@@ -11,8 +11,8 @@ that
   one engine call per pair, serially and at ``workers=2``, with self
   pairs, percentages and ``primaries`` / ``references`` restrictions;
 * every other reader of the report — ``relations()``, the three
-  ``*_outcomes()`` selections, ``summary()``, ``len`` and indexing —
-  agrees with the decoded list;
+  ``*_outcomes()`` selections, ``summary()``, ``len``, indexing and
+  slicing — agrees with the decoded list;
 * both still hold under ``REPRO_FAULTS`` injected at ``batch.row`` and
   ``batch.worker``, and under a short deadline;
 * a sweep leaves no per-pair objects behind before its outcomes are
@@ -228,6 +228,18 @@ def check_report(configuration, report, options):
     for index in {0, len(decoded) // 2, len(decoded) - 1} if decoded else ():
         assert report.outcomes[index] == decoded[index]
         assert report.outcomes[index - len(decoded)] == decoded[index]
+    middle = len(decoded) // 2
+    for window in (
+        slice(None),
+        slice(1, 3),
+        slice(middle, middle),  # empty
+        slice(3, 1),  # empty: stop before start
+        slice(None, None, -1),
+        slice(-2, None, -3),
+        slice(len(decoded) + 5, len(decoded) + 9),  # out of range
+        slice(-len(decoded) - 7, 2),
+    ):
+        assert report.outcomes[window] == decoded[window], window
 
 
 @SWEEP_SETTINGS

@@ -311,6 +311,37 @@ class TestCorruptIngestion:
         assert len(report.outcomes) == 6
 
 
+class TestInjectorResolution:
+    """A sweep resolves the fault injector once, not once per pair or
+    region: each resolution reads ``REPRO_FAULTS`` from ``os.environ``,
+    which costs microseconds, and a per-pair engine's sweep used to pay
+    that for every pair."""
+
+    @pytest.mark.parametrize("engine", ["exact", "sweep"])
+    def test_environment_reads_do_not_grow_with_the_pairs(
+        self, engine, monkeypatch
+    ):
+        monkeypatch.delenv(ENV_FAULTS, raising=False)
+        reads = []
+        real_get = os.environ.get
+
+        def counting_get(key, default=None):
+            if key == ENV_FAULTS:
+                reads.append(key)
+            return real_get(key, default)
+
+        monkeypatch.setattr(os.environ, "get", counting_get)
+        counts = []
+        for count in (10, 20):
+            reads.clear()
+            report = batch_relations(grid_configuration(count), engine=engine)
+            assert len(report.ok_outcomes()) == count * (count - 1)
+            counts.append(len(reads))
+        # One read per batch_relations call, plus one per sweep_plane
+        # call (the serial plane sweep runs in two chunks here).
+        assert max(counts) <= 3, counts
+
+
 class TestStoreFillUnderFaults:
     """A store's full matrix fill is one ``batch_relations`` call, so the
     batch fault sites reach it; pairs the batch could not answer are

@@ -287,22 +287,6 @@ class TestPacking:
         )
         assert set(everything) == set(boxes)
 
-    def test_from_plane_rows(self):
-        rows = np.array(
-            [
-                [0.0, 1.0, 0.0, 1.0],
-                [5.0, 6.0, 5.0, 6.0],
-                [np.nan, np.nan, np.nan, np.nan],
-            ]
-        )
-        health = np.array([1, 0, 1], dtype=np.uint8)
-        index = SpatialIndex.from_plane_rows(
-            ["a", "b", "c"], rows, health=health
-        )
-        # b is unhealthy, c has no coordinates: both unindexed.
-        assert index.unindexed_ids == frozenset({"b", "c"})
-        assert len(index) == 3
-
     def test_empty_and_validation(self):
         empty = SpatialIndex((), {})
         assert len(empty) == 0
@@ -311,5 +295,3 @@ class TestPacking:
             SpatialIndex(("a", "a"), {})
         with pytest.raises(ValueError):
             SpatialIndex(("a",), {}, page_size=0)
-        with pytest.raises(ValueError):
-            SpatialIndex.from_plane_rows(["a"], np.zeros((2, 4)))

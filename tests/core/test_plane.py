@@ -29,6 +29,8 @@ import pytest
 
 from repro.cardirect.model import AnnotatedRegion, Configuration
 from repro.core.batch import _ChunkSizer, batch_relations
+from repro.core.engine import create_engine
+from repro.core.fast import _edge_arrays
 from repro.core.plane import GeometryPlane
 from repro.core.tiles import Tile
 from repro.geometry.point import Point
@@ -129,6 +131,19 @@ def nested_configuration() -> Configuration:
     return Configuration.from_regions(regions)
 
 
+def overlapping_polygons_configuration() -> Configuration:
+    """A region of two overlapping squares — which a store, not
+    validating, accepts — around a small square: the overlap cancels a
+    parity taken over all the region's edges at once, so only a
+    per-polygon centre-of-``mbb`` test keeps ``B`` in ``a``'s relation."""
+    part = square(10.0).polygons[0]
+    a = Region((part, part.translated(4, 4)))
+    b = square(2.0).translated(6, 6)
+    return Configuration.from_regions(
+        [AnnotatedRegion("a", a), AnnotatedRegion("b", b)]
+    )
+
+
 def _shm_segments():
     """Names of the live POSIX shared-memory segments (Linux)."""
     try:
@@ -198,6 +213,20 @@ class TestSegmentLayout:
         assert (dx == plane.x2 - plane.x1).all()
         assert (dy == plane.y2 - plane.y1).all()
         assert list(plane.healthy_columns()) == list(range(9))
+
+    def test_rows_are_the_per_pair_edge_arrays(self, no_leaked_segments):
+        """Each row hands the kernel exactly the arrays a per-pair call
+        builds for the region, ring starts of multi-polygon regions
+        included."""
+        configuration = degenerate_star_configuration()
+        all_ids, healthy, boxes = plane_inputs(configuration)
+        plane = GeometryPlane.build(all_ids, healthy=healthy, boxes=boxes)
+        for row, region_id in enumerate(all_ids):
+            got = plane.edge_arrays(row)
+            want = _edge_arrays(healthy[region_id])
+            for name, mine, theirs in zip(want._fields, got, want):
+                assert mine.tolist() == theirs.tolist(), (region_id, name)
+        assert plane.edge_arrays(all_ids.index("broken-a")).rings.tolist() == [0, 4]
 
     def test_broken_rows_have_no_edges_and_nan_boxes(
         self, no_leaked_segments
@@ -463,6 +492,46 @@ class TestExactOracle:
                         - float(want.percentages.percentage(tile))
                     )
                     assert drift <= PERCENT_TOLERANCE, (pair, tile, drift)
+
+
+    @pytest.mark.parametrize("case", ["star", "nested", "overlapping"])
+    def test_per_pair_engines_agree_with_the_plane(self, case):
+        """The per-pair paths run the plane's float64 kernel with one
+        box: the ``fast`` engine and the sweep engine's per-pair calls
+        give every healthy pair the plane report's relation, and its
+        percentages within 1e-9 relative — of the cell, or of the
+        matrix's 100 % for a cell the ``B = (B+N) - N`` subtraction
+        leaves near zero — since the summation order over many boxes
+        moves the last bits."""
+        options = {}
+        if case == "star":
+            configuration = star_configuration(40)
+        elif case == "nested":
+            configuration = nested_configuration()
+        else:
+            configuration = overlapping_polygons_configuration()
+            options = {"validate": False, "repair": False}
+        report = batch_relations(
+            configuration, engine="sweep", percentages=True, **options
+        )
+        healthy = report.ok_outcomes()
+        assert len(healthy) == len(report.outcomes)
+        regions = {annotated.id: annotated.region for annotated in configuration}
+        for name in ("sweep", "fast"):
+            engine = create_engine(name)
+            for want in healthy:
+                primary = regions[want.primary_id]
+                box = regions[want.reference_id].bounding_box()
+                pair = (name, want.primary_id, want.reference_id)
+                assert engine.relation(primary, box) == want.relation, pair
+                matrix = engine.percentages(primary, box)
+                for tile in Tile:
+                    assert math.isclose(
+                        matrix[tile],
+                        want.percentages[tile],
+                        rel_tol=1e-9,
+                        abs_tol=100 * 1e-9,
+                    ), (pair, tile, matrix[tile], want.percentages[tile])
 
 
 class TestChunkSizer:

@@ -338,7 +338,7 @@ class TestPruneCells:
 class TestOverlappingPolygons:
     """A store does not validate, so a region may hold two overlapping
     polygons.  The plane's centre-of-mbb test must OR the polygons'
-    even-odd answers like the per-pair kernels, not take parity over
+    even-odd answers like Compute-CDR's test, not take parity over
     all their edges at once (which the overlap cancels out)."""
 
     def test_full_fill_keeps_b_like_relation(self):
