@@ -162,8 +162,6 @@ _Answer = Tuple[
 #: The error of a ``DEADLINE`` pair unless the sweep wrote another.
 _DEADLINE_TEXT = "wall-clock deadline expired before this pair"
 
-#: Every relation's tile bitmask (``None``: 0), inverse to RELATIONS_BY_MASK.
-_MASK_OF = {relation: mask for mask, relation in enumerate(RELATIONS_BY_MASK)}
 _PRUNE_BY_MASK = {1 << tile: matrix for tile, matrix in PRUNE_MATRICES.items()}
 _new_outcome: Any = tuple.__new__
 
@@ -206,8 +204,8 @@ class OutcomeTable(SequenceABC):
 
     Reading decodes :class:`PairOutcome` objects afresh, a row at a
     time, and keeps none of them; a slice reads as a list.  Assigning an
-    item encodes it into its slot, so every reader of the report sees
-    the change.
+    item, or a slice of the same length, encodes each outcome into its
+    slot, so every reader of the report sees the change.
     """
 
     def __init__(
@@ -253,7 +251,15 @@ class OutcomeTable(SequenceABC):
         row, column = self.locate(index)
         return self.decode(row, [column])[0]
 
-    def __setitem__(self, index: int, outcome: PairOutcome) -> None:
+    def __setitem__(self, index: Any, outcome: Any) -> None:
+        if isinstance(index, slice):
+            positions = range(*index.indices(self.size))
+            replacement = list(outcome)
+            if len(replacement) != len(positions):
+                raise ValueError(f"{len(replacement)} outcomes for {len(positions)} pairs")
+            for position, item in zip(positions, replacement):
+                self[position] = item
+            return
         row, column = self.locate(index)
         slot = (self.primary_ids[row], self.reference_ids[column])
         if (outcome.primary_id, outcome.reference_id) != slot:
@@ -275,7 +281,8 @@ class OutcomeTable(SequenceABC):
         at = np.asarray(columns, dtype=np.intp)
         codes = [_STATUS_CODE[answer[0]] for answer in answers]
         self.status[row, at] = codes
-        self.masks[row, at] = [_MASK_OF[answer[1]] for answer in answers]
+        # A pair without a relation (``None``) encodes as mask 0.
+        self.masks[row, at] = [getattr(answer[1], "mask", 0) for answer in answers]
         self.paths[row, at] = [self.path_names.index(answer[4]) for answer in answers]
         errors = {
             column: answer[3]
@@ -427,11 +434,7 @@ class BatchReport:
 
     @outcomes.setter
     def outcomes(self, outcomes: Iterable[PairOutcome]) -> None:
-        replacement = list(outcomes)
-        if len(replacement) != self.table.size:
-            raise ValueError(f"{len(replacement)} outcomes for {self.table.size} pairs")
-        for index, outcome in enumerate(replacement):
-            self.table[index] = outcome
+        self.table[:] = outcomes
 
     def ok_outcomes(self) -> List[PairOutcome]:
         return self.table.select(0, _REPAIRED_CODE)

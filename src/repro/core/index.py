@@ -518,12 +518,11 @@ class SpatialIndex:
         """
         if role not in _ROLES:
             raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
-        disjuncts = relation.relations
-        if len(disjuncts) > max_disjuncts:
+        if len(relation) > max_disjuncts:
             return None
         candidate_mask = np.zeros(len(self._ids), dtype=bool)
         definite_mask = np.zeros(len(self._ids), dtype=bool)
-        for disjunct in disjuncts:
+        for disjunct in relation:
             lo, hi = _closed_bounds(disjunct, box, role)
             candidate_mask |= self._query_mask(lo, hi, strict=False)
             if disjunct.is_single_tile:

@@ -7,15 +7,20 @@ disjoint over pairs of ``REG*`` regions.  :class:`CardinalDirection`
 represents one of them as a frozen set of :class:`~repro.core.tiles.Tile`
 values with the paper's canonical spelling.
 
-*Disjunctive* relations (elements of ``2^{D*}``, used for indefinite
-information such as ``a {N, W} b`` and for the results of inverse and
-composition) are represented by :class:`DisjunctiveCD` — a frozen set of
-basic relations.
+A basic relation is identified by its *tile mask*: bit ``int(tile)`` set
+per tile, so masks run over ``1..511`` (``CardinalDirection.mask``;
+:data:`RELATIONS_BY_MASK` maps back).  *Disjunctive* relations (elements
+of ``2^{D*}``, used for indefinite information such as ``a {N, W} b`` and
+for the results of inverse and composition) are represented by
+:class:`DisjunctiveCD` — one int with bit ``m`` set for each member whose
+tile mask is ``m``.  Union, intersection, emptiness, equality and size
+are then int operations; the member relations are a view over the mask.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.errors import RelationError
 from repro.core.tiles import CANONICAL_ORDER, Tile
@@ -35,7 +40,8 @@ def _coerce_tile(value: TileLike) -> Tile:
 class CardinalDirection:
     """A basic cardinal direction relation — an element of ``D*``.
 
-    Instances are immutable, hashable and compare by tile set.  The
+    Instances are immutable, hashable and compare by tile set; ``mask``
+    is the tile set as a bitmask (bit ``int(tile)`` per tile).  The
     constructor accepts tiles, tile names, or a mix::
 
         CardinalDirection(Tile.S)
@@ -43,7 +49,7 @@ class CardinalDirection:
         CardinalDirection.parse("B:S:SW")
     """
 
-    __slots__ = ("_tiles",)
+    __slots__ = ("_tiles", "mask")
 
     def __init__(self, *tiles: TileLike) -> None:
         if len(tiles) == 1 and not isinstance(tiles[0], (Tile, str)):
@@ -53,6 +59,7 @@ class CardinalDirection:
         if not coerced:
             raise RelationError("a cardinal direction relation needs >= 1 tile")
         self._tiles: FrozenSet[Tile] = coerced
+        self.mask: int = sum(1 << tile for tile in coerced)
 
     @classmethod
     def parse(cls, text: str) -> "CardinalDirection":
@@ -104,7 +111,7 @@ class CardinalDirection:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CardinalDirection):
             return NotImplemented
-        return self._tiles == other._tiles
+        return self.mask == other.mask
 
     def __hash__(self) -> int:
         return hash(self._tiles)
@@ -140,31 +147,29 @@ def tile_union(
     return CardinalDirection(*tiles)
 
 
-def _all_basic_relations() -> Tuple[CardinalDirection, ...]:
-    relations = []
-    tiles = list(Tile)
-    for mask in range(1, 1 << 9):
-        members = [tiles[i] for i in range(9) if mask >> i & 1]
-        relations.append(CardinalDirection(*members))
-    return tuple(sorted(relations, key=lambda r: (len(r), r.ordered_tiles())))
-
+_BASIC = [CardinalDirection(*(t for t in Tile if mask >> t & 1)) for mask in range(1, 1 << 9)]
 
 #: All 511 basic relations of ``D*``, sorted by tile count then canonically.
-ALL_BASIC_RELATIONS: Tuple[CardinalDirection, ...] = _all_basic_relations()
-
-
-def _relations_by_mask() -> Tuple[Optional[CardinalDirection], ...]:
-    table: List[Optional[CardinalDirection]] = [None] * (1 << 9)
-    for relation in ALL_BASIC_RELATIONS:
-        table[sum(1 << int(tile) for tile in relation.tiles)] = relation
-    return tuple(table)
-
+ALL_BASIC_RELATIONS: Tuple[CardinalDirection, ...] = tuple(
+    sorted(_BASIC, key=lambda r: (len(r), r.ordered_tiles()))
+)
 
 #: The basic relation named by a tile bitmask (bit ``int(tile)`` set per
 #: tile; entry 0 is ``None``).  Kernels that report tiles as bitmasks
 #: look their answers up here, so every pair with the same tiles shares
 #: one of the :data:`ALL_BASIC_RELATIONS` objects.
-RELATIONS_BY_MASK: Tuple[Optional[CardinalDirection], ...] = _relations_by_mask()
+RELATIONS_BY_MASK: Tuple[Optional[CardinalDirection], ...] = (None, *_BASIC)
+
+#: The basic relations in the order of ``CardinalDirection.__lt__``, which
+#: is the order a :class:`DisjunctiveCD` iterates its members in.
+_CANONICAL = tuple(sorted(ALL_BASIC_RELATIONS))
+
+
+@lru_cache(maxsize=1024)
+def _members(mask: int) -> Tuple[CardinalDirection, ...]:
+    """The member relations of a disjunction's mask, in canonical order.
+    Networks and queries iterate a few dozen distinct masks many times."""
+    return tuple(relation for relation in _CANONICAL if mask >> relation.mask & 1)
 
 
 class DisjunctiveCD:
@@ -174,18 +179,31 @@ class DisjunctiveCD:
     unsatisfiable relation (allowed: it is what an inconsistent composition
     would produce) and :meth:`universal` is the 511-element "no
     information" relation.
+
+    Its ``mask`` has bit ``m`` set when the relation of tile mask ``m``
+    is a disjunct; iteration yields the members in canonical order.
     """
 
-    __slots__ = ("_relations",)
+    __slots__ = ("mask",)
 
     def __init__(self, relations: Iterable[CardinalDirection] = ()) -> None:
-        items = frozenset(relations)
-        for item in items:
+        mask = 0
+        for item in relations:
             if not isinstance(item, CardinalDirection):
                 raise RelationError(
                     f"DisjunctiveCD members must be CardinalDirection, got {item!r}"
                 )
-        self._relations: FrozenSet[CardinalDirection] = items
+            mask |= 1 << item.mask
+        self.mask: int = mask
+
+    @classmethod
+    def from_mask(cls, mask: int) -> "DisjunctiveCD":
+        """The disjunction whose member mask is ``mask`` (bits 1..511)."""
+        if mask & ~_UNIVERSAL.mask:
+            raise RelationError(f"not a disjunction mask: {mask:#x}")
+        instance = cls.__new__(cls)
+        instance.mask = mask
+        return instance
 
     @classmethod
     def parse(cls, text: str) -> "DisjunctiveCD":
@@ -200,47 +218,46 @@ class DisjunctiveCD:
 
     @classmethod
     def universal(cls) -> "DisjunctiveCD":
-        """The complete relation ``D*`` (no information)."""
-        return cls(ALL_BASIC_RELATIONS)
+        """The complete relation ``D*`` (no information), one shared instance."""
+        return _UNIVERSAL
 
     @property
     def relations(self) -> FrozenSet[CardinalDirection]:
-        return self._relations
+        return frozenset(self)
 
     @property
     def is_empty(self) -> bool:
-        return not self._relations
+        return not self.mask
 
     @property
     def is_basic(self) -> bool:
-        return len(self._relations) == 1
-
-    def contains(self, relation: CardinalDirection) -> bool:
-        """True when ``relation`` is one of the disjuncts."""
-        return relation in self._relations
+        return self.mask != 0 and not self.mask & (self.mask - 1)
 
     def union(self, other: "DisjunctiveCD") -> "DisjunctiveCD":
-        return DisjunctiveCD(self._relations | other._relations)
+        return DisjunctiveCD.from_mask(self.mask | other.mask)
 
     def intersection(self, other: "DisjunctiveCD") -> "DisjunctiveCD":
-        return DisjunctiveCD(self._relations & other._relations)
+        return DisjunctiveCD.from_mask(self.mask & other.mask)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DisjunctiveCD):
             return NotImplemented
-        return self._relations == other._relations
+        return self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash(self._relations)
+        return hash(self.mask)
 
     def __iter__(self) -> Iterator[CardinalDirection]:
-        return iter(sorted(self._relations, key=lambda r: r.ordered_tiles()))
+        return iter(_members(self.mask))
 
     def __len__(self) -> int:
-        return len(self._relations)
+        return bin(self.mask).count("1")
 
     def __contains__(self, relation: object) -> bool:
-        return relation in self._relations
+        """True when ``relation`` is one of the disjuncts."""
+        return isinstance(relation, CardinalDirection) and self.mask >> relation.mask & 1 == 1
+
+    contains = __contains__
 
     def __str__(self) -> str:
         inner = ", ".join(str(r) for r in self)
@@ -248,3 +265,6 @@ class DisjunctiveCD:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DisjunctiveCD({str(self)})"
+
+
+_UNIVERSAL = DisjunctiveCD(ALL_BASIC_RELATIONS)

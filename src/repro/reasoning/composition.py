@@ -24,9 +24,9 @@ relation (all 511 basic relations).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Set
+from typing import Tuple
 
-from repro.core.relation import ALL_BASIC_RELATIONS, CardinalDirection, DisjunctiveCD
+from repro.core.relation import CardinalDirection, DisjunctiveCD
 from repro.core.tiles import Tile
 from repro.reasoning.orderings import (
     GRID_HI,
@@ -38,15 +38,19 @@ from repro.reasoning.orderings import (
 )
 
 
-def _cell_map(placement: BoxPlacement) -> Dict[Tile, int]:
-    """For each tile of b's grid, the bitmask of c-grid tiles it overlaps.
+@lru_cache(maxsize=None)
+def _cell_map(placement: BoxPlacement) -> Tuple[int, ...]:
+    """For each tile of b's grid (indexed by ``int(tile)``), the bitmask
+    of c-grid tiles it overlaps.
 
     b's grid lines are the placed box endpoints; c's grid is (0, 10).
-    Overlap must be full-dimensional on both axes.
+    Overlap must be full-dimensional on both axes.  A pure function of
+    the 169 fixed placements, so its cache outlives
+    ``compose.cache_clear()``.
     """
     b_grid_x = (placement.x.p1, placement.x.p2)
     b_grid_y = (placement.y.p1, placement.y.p2)
-    mapping: Dict[Tile, int] = {}
+    mapping = []
     for b_tile in Tile:
         band_bx = band(b_grid_x[0], b_grid_x[1], b_tile.column)
         band_by = band(b_grid_y[0], b_grid_y[1], b_tile.row)
@@ -56,8 +60,8 @@ def _cell_map(placement: BoxPlacement) -> Dict[Tile, int]:
             band_cy = band(GRID_LO, GRID_HI, c_tile.row)
             if band_bx.overlaps_open(band_cx) and band_by.overlaps_open(band_cy):
                 mask |= 1 << int(c_tile)
-        mapping[b_tile] = mask
-    return mapping
+        mapping.append(mask)
+    return tuple(mapping)
 
 
 @lru_cache(maxsize=None)
@@ -68,41 +72,33 @@ def compose(r1: CardinalDirection, r2: CardinalDirection) -> DisjunctiveCD:
     >>> str(compose(CD.parse("S"), CD.parse("S")))
     '{S}'
     """
-    members: Set[CardinalDirection] = set()
-    seen_masks: Set[int] = set()
-    r1_tiles = list(r1.tiles)
+    members = 0
     for placement in box_placements():
         if not relation_realizable_for_box(r2, placement):
             continue
         cmap = _cell_map(placement)
-        required = [cmap[t] for t in r1_tiles]
+        required = [cmap[t] for t in r1.tiles]
         allowed = 0
         for mask in required:
             allowed |= mask
-        # Enumerate subsets of `allowed` hitting every required mask.
-        # Iterate over submasks of `allowed` directly (standard trick).
+        # Every submask of `allowed` hitting each required mask is a
+        # member's tile mask (the standard submask walk).
         submask = allowed
-        while True:
-            if submask and all(submask & mask for mask in required):
-                if submask not in seen_masks:
-                    seen_masks.add(submask)
-                    members.add(
-                        CardinalDirection(
-                            Tile(i) for i in range(9) if submask >> i & 1
-                        )
-                    )
-            if submask == 0:
-                break
+        while submask:
+            if all(submask & mask for mask in required):
+                members |= 1 << submask
             submask = (submask - 1) & allowed
-    return DisjunctiveCD(members)
+    return DisjunctiveCD.from_mask(members)
 
 
 def compose_disjunctive(d1: DisjunctiveCD, d2: DisjunctiveCD) -> DisjunctiveCD:
-    """Composition lifted to disjunctive relations (union of pairwise)."""
-    members: Set[CardinalDirection] = set()
-    for r1 in d1.relations:
-        for r2 in d2.relations:
-            members.update(compose(r1, r2).relations)
-            if len(members) == len(ALL_BASIC_RELATIONS):
-                return DisjunctiveCD.universal()
-    return DisjunctiveCD(members)
+    """Composition lifted to disjunctive relations: the union of the
+    member pairs' compositions, stopping once it is universal."""
+    universal = DisjunctiveCD.universal()
+    members = 0
+    for r1 in d1:
+        for r2 in d2:
+            members |= compose(r1, r2).mask
+            if members == universal.mask:
+                return universal
+    return DisjunctiveCD.from_mask(members)

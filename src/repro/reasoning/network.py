@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ReasoningError
 from repro.core.relation import CardinalDirection, DisjunctiveCD
@@ -40,7 +40,7 @@ from repro.resilience.deadline import (
     deadline_scope,
 )
 from repro.geometry.region import Region
-from repro.reasoning.composition import compose
+from repro.reasoning.composition import compose_disjunctive
 from repro.reasoning.consistency import (
     ConsistencyStatus,
     check_consistency,
@@ -50,10 +50,10 @@ from repro.reasoning.inverse import inverse
 
 def inverse_disjunctive(relation: DisjunctiveCD) -> DisjunctiveCD:
     """The inverse of a disjunctive relation: union of member inverses."""
-    members: Set[CardinalDirection] = set()
-    for basic in relation.relations:
-        members.update(inverse(basic).relations)
-    return DisjunctiveCD(members)
+    members = 0
+    for basic in relation:
+        members |= inverse(basic).mask
+    return DisjunctiveCD.from_mask(members)
 
 
 @dataclass
@@ -211,12 +211,7 @@ class DisjunctiveNetwork:
                     if i >= j:
                         continue  # handle each unordered (i, j) once per k
                     r_ij = self.relation_between(i, j)
-                    if len(r_ij) == 511:
-                        through = self._compose_pair(i, k, j)
-                        pruned = through
-                    else:
-                        through = self._compose_pair(i, k, j)
-                        pruned = r_ij.intersection(through)
+                    pruned = r_ij.intersection(self._compose_pair(i, k, j))
                     if pruned != r_ij:
                         self._store(i, j, pruned)
                         changed = True
@@ -258,17 +253,10 @@ class DisjunctiveNetwork:
     def _compose_pair(self, i: str, k: str, j: str) -> DisjunctiveCD:
         r_ik = self.relation_between(i, k)
         r_kj = self.relation_between(k, j)
-        if len(r_ik) == 511 or len(r_kj) == 511:
-            return DisjunctiveCD.universal()
-        if len(r_ik) * len(r_kj) > self.COMPOSE_BUDGET:
-            return DisjunctiveCD.universal()
-        members: Set[CardinalDirection] = set()
-        for basic_ik in r_ik.relations:
-            for basic_kj in r_kj.relations:
-                members.update(compose(basic_ik, basic_kj).relations)
-                if len(members) == 511:
-                    return DisjunctiveCD.universal()
-        return DisjunctiveCD(members)
+        universal = DisjunctiveCD.universal()
+        if universal in (r_ik, r_kj) or len(r_ik) * len(r_kj) > self.COMPOSE_BUDGET:
+            return universal
+        return compose_disjunctive(r_ik, r_kj)
 
     def _store(self, i: str, j: str, relation: DisjunctiveCD) -> None:
         if (j, i) in self._constraints:
@@ -315,7 +303,7 @@ class DisjunctiveNetwork:
                 self._constraints, key=lambda key: len(self._constraints[key])
             )
             choices: List[List[CardinalDirection]] = [
-                sorted(self._constraints[key].relations) for key in keys
+                list(self._constraints[key]) for key in keys
             ]
             unverified = 0
             examined = 0

@@ -30,10 +30,8 @@ from repro.resilience.faults import (
     FaultSpec,
     corrupt_region,
     current_injector,
-    fault_point,
     injecting,
     install_injector,
-    maybe_corrupt,
     uninstall_injector,
 )
 from repro.resilience.retry import RetryPolicy
@@ -49,10 +47,8 @@ __all__ = [
     "current_deadline",
     "current_injector",
     "deadline_scope",
-    "fault_point",
     "injecting",
     "install_injector",
-    "maybe_corrupt",
     "remaining_budget",
     "uninstall_injector",
 ]

@@ -13,11 +13,10 @@ injector is armed directly (:func:`install_injector` /
 :class:`injecting`) or through the ``REPRO_FAULTS`` environment
 variable, which reaches process-pool workers however they were started.
 Resolving it (:func:`current_injector`) reads that variable, which
-costs microseconds, so the hot loops resolve it once — per
+costs microseconds, so the sites resolve it once — per
 ``batch_relations`` call, per pool chunk and per ``sweep_plane`` call —
 and call :meth:`FaultInjector.trigger` / :meth:`FaultInjector.corrupt`
-only when one is armed; elsewhere :func:`fault_point` /
-:func:`maybe_corrupt` resolve and fire in one call.  Current sites:
+only when one is armed.  Current sites:
 
 ========================  ===================================================
 ``batch.worker``          top of a parallel chunk (ctx: chunk, attempt)
@@ -58,8 +57,6 @@ __all__ = [
     "uninstall_injector",
     "current_injector",
     "injecting",
-    "fault_point",
-    "maybe_corrupt",
     "corrupt_region",
     "ENV_FAULTS",
     "ENV_SEED",
@@ -350,17 +347,3 @@ def injecting(
     finally:
         _ACTIVE = previous
 
-
-def fault_point(site: str, **context: object) -> None:
-    """Production-code injection point: fire matching faults, else no-op."""
-    injector = current_injector()
-    if injector is not None:
-        injector.trigger(site, **context)
-
-
-def maybe_corrupt(site: str, region: R, **context: object) -> R:
-    """Production-code corruption point: damage ``region`` when armed."""
-    injector = current_injector()
-    if injector is None:
-        return region
-    return injector.corrupt(site, region, **context)

@@ -228,6 +228,8 @@ def degenerate_ring(
             ring.append(vertex)
             if rng.random() < 0.5:
                 ring.append(vertex)
+        if len(ring) == len(base):  # no coin landed: still repeat a vertex
+            ring.append(ring[-1])
         ring.append(ring[0])  # explicit closing vertex
         return ring
     if kind == "collinear":

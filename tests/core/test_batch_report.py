@@ -326,6 +326,28 @@ class TestAssignment:
         with pytest.raises(ValueError):
             report.outcomes = list(report.outcomes)[1:]
 
+    def test_an_assigned_slice_round_trips(self):
+        report = batch_relations(star_map(3, 3, 0, 0))
+        before = list(report.outcomes)
+        report.outcomes[0:2] = before[0:2]
+        assert report.outcomes == before
+        relation = before[2].relation
+        changed = [o._replace(relation=relation, path="flipped") for o in before]
+        report.outcomes[::-2] = changed[::-2]
+        expected = before[:]
+        expected[::-2] = changed[::-2]
+        assert report.outcomes == expected
+        assert list(report.outcomes)[-1] == changed[-1]
+
+    def test_a_slice_of_another_length_or_pair_is_refused(self):
+        report = batch_relations(star_map(3, 3, 0, 0))
+        before = list(report.outcomes)
+        with pytest.raises(ValueError):
+            report.outcomes[1:3] = before[1:2]
+        with pytest.raises(ValueError):
+            report.outcomes[0:2] = before[1:3]
+        assert report.outcomes == before
+
 
 @pytest.mark.parametrize("workers", [None, 2])
 def test_a_sweep_keeps_no_per_pair_objects(workers):

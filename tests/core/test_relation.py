@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import RelationError
 from repro.core.relation import (
     ALL_BASIC_RELATIONS,
+    RELATIONS_BY_MASK,
     CardinalDirection,
     DisjunctiveCD,
     tile_union,
@@ -153,3 +154,57 @@ def test_str_parse_roundtrip(tiles):
 def test_tile_union_commutative(tiles_a, tiles_b):
     a, b = CardinalDirection(*tiles_a), CardinalDirection(*tiles_b)
     assert a.tile_union(b) == b.tile_union(a)
+
+
+#: Member sets for the mask algebra: a few members, or all but a few, and
+#: each member either the interned relation or a fresh equal copy.
+member_sets = st.tuples(
+    st.frozensets(
+        st.sampled_from(ALL_BASIC_RELATIONS).flatmap(
+            lambda r: st.sampled_from((r, CardinalDirection(r.tiles)))
+        ),
+        max_size=12,
+    ),
+    st.booleans(),
+).map(lambda drawn: frozenset(ALL_BASIC_RELATIONS) - drawn[0] if drawn[1] else drawn[0])
+
+
+@given(member_sets, member_sets)
+def test_mask_algebra_matches_a_set_model(a, b):
+    """A disjunction's mask behaves as the frozenset of its members."""
+    da, db = DisjunctiveCD(a), DisjunctiveCD(b)
+    assert da.union(db).relations == a | b
+    assert da.intersection(db).relations == a & b
+    assert len(da) == len(a)
+    assert da.is_empty == (not a) and da.is_basic == (len(a) == 1)
+    for relation in ALL_BASIC_RELATIONS[::23] + tuple(b):
+        assert (relation in da) == (relation in a) == da.contains(relation)
+    assert (da == db) == (a == b)
+    if a == b:
+        assert hash(da) == hash(db)
+    assert list(da) == sorted(a)
+    assert DisjunctiveCD.parse(str(da)) == da
+    assert DisjunctiveCD.from_mask(da.mask) == da
+
+
+class TestMask:
+    def test_basic_mask_is_the_tile_bitmask(self):
+        for mask, relation in enumerate(RELATIONS_BY_MASK):
+            if relation is not None:
+                assert relation.mask == mask
+                assert CardinalDirection.parse(str(relation)).mask == mask
+
+    def test_universal_is_one_shared_instance(self):
+        universal = DisjunctiveCD.universal()
+        assert universal is DisjunctiveCD.universal()
+        assert universal == DisjunctiveCD(ALL_BASIC_RELATIONS)
+        assert list(universal) == sorted(ALL_BASIC_RELATIONS)
+
+    def test_from_mask_rejects_non_member_bits(self):
+        for mask in (1, 1 << 512, -2):
+            with pytest.raises(RelationError):
+                DisjunctiveCD.from_mask(mask)
+
+    def test_only_relations_are_members(self):
+        assert "N" not in DisjunctiveCD.parse("{N, W}")
+        assert 32 not in DisjunctiveCD.parse("{N, W}")

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.validate import validate_region
@@ -206,6 +206,8 @@ class TestDegenerateGenerators:
         kind=st.sampled_from(DEGENERATE_KINDS),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
+    # Seed 132's coin flips duplicate no vertex of the base star.
+    @example(kind="duplicated", seed=132)
     def test_repaired_ring_validates(self, kind, seed):
         ring = degenerate_ring(random.Random(seed), kind)
         try:

@@ -74,6 +74,30 @@ class TestDisjunctiveComposition:
         d2 = DisjunctiveCD((cd("NE"), cd("B")))
         assert compose_disjunctive(d1, d2) == DisjunctiveCD.universal()
 
+    @pytest.mark.parametrize(
+        "d1, d2",
+        [
+            ((), ("N", "W")),
+            (("N", "W"), ()),
+            ("universal", ("B",)),
+            (("B",), "universal"),
+            (("S", "N:NE", "B:W"), ("S", "SW:W")),
+            (("NE", "E"), ("S", "B:S", "N")),
+        ],
+    )
+    def test_is_the_union_of_member_compositions(self, d1, d2):
+        def disjunction(members):
+            if members == "universal":
+                return DisjunctiveCD.universal()
+            return DisjunctiveCD(cd(text) for text in members)
+
+        d1, d2 = disjunction(d1), disjunction(d2)
+        expected = set()
+        for r1 in d1:
+            for r2 in d2:
+                expected |= compose(r1, r2).relations
+        assert compose_disjunctive(d1, d2).relations == expected
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))

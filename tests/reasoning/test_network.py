@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ReasoningError
 from repro.core.compute import compute_cdr
-from repro.core.relation import CardinalDirection, DisjunctiveCD
+from repro.core.relation import ALL_BASIC_RELATIONS, CardinalDirection, DisjunctiveCD
+from repro.reasoning.inverse import inverse
 from repro.reasoning.network import (
     DisjunctiveNetwork,
     inverse_disjunctive,
@@ -22,6 +23,13 @@ class TestInverseDisjunctive:
 
     def test_empty_maps_to_empty(self):
         assert inverse_disjunctive(DisjunctiveCD()).is_empty
+
+    @pytest.mark.parametrize("members", [(), ALL_BASIC_RELATIONS, ALL_BASIC_RELATIONS[::41]])
+    def test_is_the_union_of_member_inverses(self, members):
+        expected = set()
+        for member in members:
+            expected |= inverse(member).relations
+        assert inverse_disjunctive(DisjunctiveCD(members)).relations == expected
 
 
 class TestConstruction:

@@ -17,10 +17,8 @@ from repro.resilience.faults import (
     FaultSpec,
     corrupt_region,
     current_injector,
-    fault_point,
     injecting,
     install_injector,
-    maybe_corrupt,
     uninstall_injector,
 )
 
@@ -148,11 +146,13 @@ class TestCorruption:
 
 
 class TestInstallation:
-    def test_fault_point_is_noop_without_injector(self):
+    def test_sites_are_noops_without_a_spec(self):
         assert current_injector() is None
-        fault_point("anywhere", attempt=0)  # must not raise
-        region = square()
-        assert maybe_corrupt("anywhere", region) is region
+        with injecting(seed=CHAOS_SEED):
+            current_injector().trigger("anywhere", attempt=0)  # must not raise
+            region = square()
+            assert current_injector().corrupt("anywhere", region) is region
+        assert current_injector() is None
 
     def test_injecting_scope_installs_and_restores(self):
         outer = install_injector(FaultInjector([], seed=CHAOS_SEED))
@@ -162,7 +162,7 @@ class TestInstallation:
             ) as injector:
                 assert current_injector() is injector
                 with pytest.raises(InjectedFault):
-                    fault_point("s")
+                    current_injector().trigger("s")
             assert current_injector() is outer
         finally:
             uninstall_injector()
@@ -177,7 +177,7 @@ class TestInstallation:
         assert injector is not None
         assert injector.seed == CHAOS_SEED
         with pytest.raises(InjectedFault):
-            fault_point("s")
+            current_injector().trigger("s")
         # Same raw value: the parsed injector is cached, not re-built.
         assert current_injector() is injector
 
@@ -193,6 +193,6 @@ class TestInstallation:
         installed = install_injector(FaultInjector([], seed=CHAOS_SEED))
         try:
             assert current_injector() is installed
-            fault_point("s")  # the env spec must not fire
+            current_injector().trigger("s")  # the env spec must not fire
         finally:
             uninstall_injector()
