@@ -18,7 +18,7 @@ All three are built on one enumeration engine
 arbitrary finite unions of full-dimensional pieces, a relation
 configuration is realisable exactly when a *qualitative placement* of the
 participating bounding boxes admits it, and the finitely many placements
-can be enumerated with concrete rational coordinates.  Every positive
+can be enumerated with concrete integer coordinates.  Every positive
 answer is therefore constructive, and the test suite cross-validates the
 symbolic results against Compute-CDR on generated geometry.
 """

@@ -19,8 +19,9 @@ constraints:
    constraints are solved over ℚ by SCC condensation: variables forced
    into one SCC must be equal; a strict edge inside an SCC is a
    contradiction (**INCONSISTENT** — with the offending cycle reported);
-   otherwise SCCs get increasing integer coordinates in topological
-   order.
+   otherwise every SCC gets its own integer coordinate, increasing along
+   one topological order of the condensation — a linear extension of the
+   endpoint order.
 3. **Canonical models.**  With all boxes placed, each region takes the
    *maximal* material allowed by its constraints
    (:func:`~repro.reasoning.witness.maximal_model`), and every constraint
@@ -28,22 +29,18 @@ constraints:
    algorithm.  Success is a proof of consistency (**CONSISTENT**, witness
    returned).  A failure only rules out the *chosen* endpoint order:
    variables the constraints leave incomparable were linearised
-   arbitrarily, and another extension might admit a model.  The checker
-   therefore retries with several randomised (deterministically seeded)
-   linear extensions before answering **UNKNOWN** — the honest residue of
-   a polynomial-time canonical construction.  (For networks obtained from
-   actual geometry the test suite shows the first order virtually always
-   succeeds.)
+   arbitrarily, and another extension might admit a model, so the answer
+   is **UNKNOWN** — the honest residue of a polynomial-time canonical
+   construction.  Other extensions, random ones included, never turned
+   such an UNKNOWN into an answer on the networks measured, so the
+   checker tests one (docs/ALGORITHMS.md §7).
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import networkx as nx
 
 from repro.errors import ReasoningError
 from repro.core.compute import compute_cdr
@@ -78,9 +75,8 @@ class ConsistencyResult:
     CONSISTENT; ``explanation`` is a human-readable account of the
     decision (the violated cycle for INCONSISTENT, the failing constraint
     for UNKNOWN).  ``deadline_exceeded`` marks an UNKNOWN that is a
-    *labelled partial result*: the wall-clock budget ran out before the
-    attempt budget did, so the answer reflects only the endpoint orders
-    examined in time (the explanation says how many).
+    *labelled partial result*: the wall-clock budget had run out when the
+    check began, so nothing was decided.
     """
 
     status: ConsistencyStatus
@@ -95,29 +91,33 @@ class ConsistencyResult:
 
 @dataclass
 class _AxisSystem:
-    """Order constraints over one axis's endpoint variables."""
+    """Order constraints over one axis's endpoints.
 
-    weak: List[Tuple[str, str]] = field(default_factory=list)    # u <= v
-    strict: List[Tuple[str, str]] = field(default_factory=list)  # u < v
+    Endpoints are ints: variable ``k``'s low end is ``2k`` and its high
+    end ``2k + 1``.
+    """
 
-    def leq(self, u: str, v: str) -> None:
+    weak: List[Tuple[int, int]] = field(default_factory=list)    # u <= v
+    strict: List[Tuple[int, int]] = field(default_factory=list)  # u < v
+
+    def leq(self, u: int, v: int) -> None:
         self.weak.append((u, v))
 
-    def lt(self, u: str, v: str) -> None:
+    def lt(self, u: int, v: int) -> None:
         self.strict.append((u, v))
 
 
 def _axis_inequalities(
-    system: _AxisSystem, i: str, j: str, bands: frozenset
+    system: _AxisSystem, i: int, j: int, bands: frozenset
 ) -> None:
     """Add the order constraints of one constraint on one axis.
 
     ``bands`` is the set of side bands (-1/0/1) that the relation's tiles
-    occupy on this axis; ``lo(i), hi(i)`` denote the primary's endpoints
-    and ``lo(j), hi(j)`` the reference's.
+    occupy on this axis; ``i`` and ``j`` index the primary and the
+    reference, whose endpoints are ``lo(i), hi(i)`` and ``lo(j), hi(j)``.
     """
-    lo_i, hi_i = f"lo:{i}", f"hi:{i}"
-    lo_j, hi_j = f"lo:{j}", f"hi:{j}"
+    lo_i, hi_i = 2 * i, 2 * i + 1
+    lo_j, hi_j = 2 * j, 2 * j + 1
     if -1 in bands:
         system.lt(lo_i, lo_j)  # material strictly below the low grid line
     else:
@@ -137,61 +137,69 @@ def _axis_inequalities(
 
 
 def _solve_axis(
-    system: _AxisSystem,
-    variables: Sequence[str],
-    rng: Optional["random.Random"] = None,
-) -> Tuple[Optional[Dict[str, int]], str]:
-    """Solve one axis's order system.
+    system: _AxisSystem, labels: Sequence[str]
+) -> Tuple[Optional[List[int]], str]:
+    """Solve one axis's order system over endpoints ``0 .. len(labels) - 1``.
 
-    Returns ``(assignment, "")`` on success or ``(None, explanation)``
-    when a strict inequality lies inside a forced-equality cycle.  With
-    ``rng``, ties between incomparable components are broken randomly —
-    each call samples one linear extension of the induced partial order.
+    Returns ``(values, "")``, where ``values[e]`` is endpoint ``e``'s
+    integer coordinate, or ``(None, explanation)`` when a strict
+    inequality lies inside a forced-equality cycle; ``labels`` name the
+    endpoints in the explanation.
+
+    Kosaraju's algorithm: a depth-first search lists the endpoints by
+    finishing time, and a search of the reversed edges from the latest
+    finisher down collects the strongly connected components in a
+    topological order of the condensation.  Each component's number in
+    that order is its coordinate.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(variables)
-    graph.add_edges_from(system.weak)
-    graph.add_edges_from(system.strict)
-    component_of: Dict[str, int] = {}
-    components = list(nx.strongly_connected_components(graph))
-    for index, component in enumerate(components):
-        for node in component:
-            component_of[node] = index
+    count = len(labels)
+    successors: List[List[int]] = [[] for _ in range(count)]
+    predecessors: List[List[int]] = [[] for _ in range(count)]
+    for u, v in system.weak + system.strict:
+        successors[u].append(v)
+        predecessors[v].append(u)
+    finished: List[int] = []
+    seen = [False] * count
+    for root in range(count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        path = [(root, iter(successors[root]))]
+        while path:
+            node, children = path[-1]
+            for child in children:
+                if not seen[child]:
+                    seen[child] = True
+                    path.append((child, iter(successors[child])))
+                    break
+            else:  # every child explored: the node finishes
+                path.pop()
+                finished.append(node)
+    values = [-1] * count
+    components = 0
+    for root in reversed(finished):
+        if values[root] >= 0:
+            continue
+        values[root] = components
+        pending = [root]
+        while pending:
+            for parent in predecessors[pending.pop()]:
+                if values[parent] < 0:
+                    values[parent] = components
+                    pending.append(parent)
+        components += 1
     for u, v in system.strict:
-        if component_of[u] == component_of[v]:
+        if values[u] == values[v]:
             return None, (
-                f"contradictory cycle: {u} < {v} but both are forced equal"
+                f"contradictory cycle: {labels[u]} < {labels[v]} but both "
+                "are forced equal"
             )
-    condensation = nx.condensation(graph, scc=components)
-    order = _topological_order(condensation, rng)
-    position = {scc_id: rank for rank, scc_id in enumerate(order)}
-    return (
-        {node: position[component_of[node]] for node in variables},
-        "",
-    )
+    return values, ""
 
 
-def _topological_order(graph: "nx.DiGraph", rng: Optional["random.Random"]):
-    """A topological order; with ``rng``, a random linear extension
-    (Kahn's algorithm with a shuffled ready set)."""
-    if rng is None:
-        return list(nx.topological_sort(graph))
-    indegree = {node: degree for node, degree in graph.in_degree()}
-    ready = [node for node, degree in indegree.items() if degree == 0]
-    order = []
-    while ready:
-        index = rng.randrange(len(ready))
-        node = ready.pop(index)
-        order.append(node)
-        for successor in graph.successors(node):
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                ready.append(successor)
-    return order
-
-
-def _validate_constraints(constraints: Constraints) -> List[str]:
-    names: List[str] = []
+def _validate_constraints(constraints: Constraints) -> Dict[str, int]:
+    """Check the network; number its variables in order of appearance."""
+    index: Dict[str, int] = {}
     for (i, j), relation in constraints.items():
         if i == j:
             raise ReasoningError(
@@ -200,36 +208,31 @@ def _validate_constraints(constraints: Constraints) -> List[str]:
             )
         if not isinstance(relation, CardinalDirection):
             raise ReasoningError(f"constraint ({i}, {j}) is not a basic relation")
-        for name in (i, j):
-            if name not in names:
-                names.append(name)
-    if not names:
+        index.setdefault(i, len(index))
+        index.setdefault(j, len(index))
+    if not index:
         raise ReasoningError("empty constraint network")
-    return names
+    return index
 
 
 def check_consistency(
     constraints: Constraints,
     *,
-    attempts: int = 4,
     deadline: Optional[Union[Deadline, float]] = None,
 ) -> ConsistencyResult:
     """Decide satisfiability of a basic cardinal-direction network.
 
-    ``attempts`` bounds how many endpoint linear extensions are tried:
-    the deterministic canonical one first, then ``attempts − 1``
-    randomised (deterministically seeded) extensions.  Order
-    infeasibility is independent of the extension, so INCONSISTENT
-    answers never need retries.
+    Both axes' order systems are solved once; their solution places
+    every box, and the maximal model of that one placement is verified
+    with Compute-CDR.  An order conflict rules out every placement, so
+    an INCONSISTENT answer is certain; UNKNOWN means only that the one
+    placement tried admits no model.
 
-    ``deadline`` (seconds, or a :class:`~repro.resilience.Deadline`)
-    bounds the wall-clock spent across attempts; a deadline installed
-    by an enclosing :func:`~repro.resilience.deadline_scope` applies
-    equally.  When the budget expires mid-check the result is a
-    labelled partial answer — UNKNOWN with ``deadline_exceeded`` set
-    and an explanation counting the extensions actually examined —
-    never a hang (consistency is NP-hard in general, so an unbounded
-    check is a real risk, not a formality).
+    ``deadline`` (seconds, or a :class:`~repro.resilience.Deadline`) is
+    checked once, on entry; a deadline installed by an enclosing
+    :func:`~repro.resilience.deadline_scope` applies equally.  An
+    expired budget gives a labelled partial answer — UNKNOWN with
+    ``deadline_exceeded`` set — never a hang.
 
     >>> from repro.core.relation import CardinalDirection as CD
     >>> result = check_consistency({("a", "b"): CD.parse("N"),
@@ -237,85 +240,59 @@ def check_consistency(
     >>> result.status.value
     'inconsistent'
     """
-    names = _validate_constraints(constraints)
+    index = _validate_constraints(constraints)
 
     x_system, y_system = _AxisSystem(), _AxisSystem()
-    for name in names:
-        x_system.lt(f"lo:{name}", f"hi:{name}")
-        y_system.lt(f"lo:{name}", f"hi:{name}")
+    for k in index.values():
+        x_system.lt(2 * k, 2 * k + 1)
+        y_system.lt(2 * k, 2 * k + 1)
     for (i, j), relation in constraints.items():
-        _axis_inequalities(x_system, i, j, relation.spans_columns)
-        _axis_inequalities(y_system, i, j, relation.spans_rows)
+        _axis_inequalities(x_system, index[i], index[j], relation.spans_columns)
+        _axis_inequalities(y_system, index[i], index[j], relation.spans_rows)
 
-    variables = [f"{kind}:{name}" for name in names for kind in ("lo", "hi")]
-    last_unknown: Optional[ConsistencyResult] = None
-    result: Optional[ConsistencyResult] = None
-    attempts_used = 0
-    attempt_budget = max(1, attempts)
+    labels = [f"{kind}:{name}" for name in index for kind in ("lo", "hi")]
     with deadline_scope(deadline) as active_deadline, _obs_span(
         "reasoning.consistency",
         constraints=len(constraints),
-        variables=len(names),
-        order_variables=len(variables),
+        variables=len(index),
+        order_variables=len(labels),
         inequalities=(
             len(x_system.weak) + len(x_system.strict)
             + len(y_system.weak) + len(y_system.strict)
         ),
     ) as check_span:
-        for attempt in range(attempt_budget):
-            if active_deadline is not None and active_deadline.expired():
-                count_deadline_exceeded("reasoning.consistency")
+        if active_deadline is not None and active_deadline.expired():
+            count_deadline_exceeded("reasoning.consistency")
+            result = ConsistencyResult(
+                ConsistencyStatus.UNKNOWN,
+                explanation="deadline exceeded before the endpoint order was solved",
+                deadline_exceeded=True,
+            )
+        else:
+            x_values, reason = _solve_axis(x_system, labels)
+            y_values: Optional[List[int]] = None
+            if x_values is not None:
+                y_values, reason = _solve_axis(y_system, labels)
+            if x_values is None or y_values is None:
+                axis = "x" if x_values is None else "y"
+                check_span.set(axis=axis)
                 result = ConsistencyResult(
-                    ConsistencyStatus.UNKNOWN,
-                    explanation=(
-                        f"deadline exceeded after {attempt} of "
-                        f"{attempt_budget} endpoint orders"
-                    ),
-                    deadline_exceeded=True,
+                    ConsistencyStatus.INCONSISTENT,
+                    explanation=f"{axis}-axis: {reason}",
                 )
-                break
-            attempts_used = attempt + 1
-            with _obs_span(
-                "reasoning.attempt", attempt=attempt
-            ) as attempt_span:
-                rng = random.Random(20040000 + attempt) if attempt else None
-                x_values, x_reason = _solve_axis(x_system, variables, rng)
-                if x_values is None:
-                    attempt_span.set(outcome="inconsistent", axis="x")
-                    result = ConsistencyResult(
-                        ConsistencyStatus.INCONSISTENT,
-                        explanation=f"x-axis: {x_reason}",
-                    )
-                    break
-                y_values, y_reason = _solve_axis(y_system, variables, rng)
-                if y_values is None:
-                    attempt_span.set(outcome="inconsistent", axis="y")
-                    result = ConsistencyResult(
-                        ConsistencyStatus.INCONSISTENT,
-                        explanation=f"y-axis: {y_reason}",
-                    )
-                    break
+            else:
                 boxes = {
                     name: BoundingBox(
-                        x_values[f"lo:{name}"],
-                        y_values[f"lo:{name}"],
-                        x_values[f"hi:{name}"],
-                        y_values[f"hi:{name}"],
+                        x_values[2 * k],
+                        y_values[2 * k],
+                        x_values[2 * k + 1],
+                        y_values[2 * k + 1],
                     )
-                    for name in names
+                    for name, k in index.items()
                 }
-                verified = _verify_maximal_model(boxes, constraints)
-                attempt_span.set(outcome=verified.status.value)
-                if verified.status is ConsistencyStatus.CONSISTENT:
-                    result = verified
-                    break
-                last_unknown = verified
-        if result is None:
-            assert last_unknown is not None
-            result = last_unknown
+                result = _verify_maximal_model(boxes, constraints)
         check_span.set(
             status=result.status.value,
-            attempts=attempts_used,
             deadline_exceeded=result.deadline_exceeded,
         )
     registry = current_metrics()
@@ -324,10 +301,6 @@ def check_consistency(
             "repro_consistency_checks_total",
             "Basic-network consistency checks, by outcome.",
         ).inc(status=result.status.value)
-        registry.counter(
-            "repro_consistency_attempts_total",
-            "Endpoint linear extensions tried across all checks.",
-        ).inc(attempts_used)
     return result
 
 

@@ -2,13 +2,13 @@
 
 Everything the reasoning layer needs reduces to questions about *one box
 against one grid*.  Fix a reference grid with lines ``g_lo < g_hi`` per
-axis (we use the concrete rationals 0 and 10).  A primary box is
+axis (we use the concrete integers 0 and 10).  A primary box is
 described per axis by its endpoints ``p1 < p2``.  Only the *weak order*
 of ``p1, p2`` against ``g_lo, g_hi`` matters for any qualitative
 question, and there are exactly 13 such orders per axis (each endpoint is
 before / at / between / at / after the grid lines, minus the combinations
 violating ``p1 < p2``).  We enumerate them by instantiating concrete
-rational coordinates — every qualitative predicate then becomes a plain
+integer coordinates — every qualitative predicate then becomes a plain
 numeric comparison, with no symbolic case analysis to get wrong.
 
 Soundness of the whole approach rests on one fact about ``REG*``: a
@@ -28,7 +28,6 @@ with the region's bounding box is realisable by small rectangles.  Hence:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import FrozenSet, Iterable, List, NamedTuple, Set, Tuple
@@ -37,8 +36,8 @@ from repro.core.relation import CardinalDirection
 from repro.core.tiles import Tile
 
 #: Concrete coordinates for the reference grid lines on both axes.
-GRID_LO: Fraction = Fraction(0)
-GRID_HI: Fraction = Fraction(10)
+GRID_LO: int = 0
+GRID_HI: int = 10
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -71,18 +70,18 @@ def band(g_lo: object, g_hi: object, index: int) -> Interval:
 class AxisPlacement(NamedTuple):
     """Concrete endpoints ``p1 < p2`` of a box against the (0, 10) grid."""
 
-    p1: Fraction
-    p2: Fraction
+    p1: int
+    p2: int
 
 
-def _zone_representatives() -> Tuple[Tuple[Fraction, Fraction], ...]:
+def _zone_representatives() -> Tuple[Tuple[int, int], ...]:
     """Representative coordinates for the five zones around the grid lines."""
     return (
-        (Fraction(-6), Fraction(-3)),   # zone 0: strictly below g_lo
-        (GRID_LO, GRID_LO),             # zone 1: exactly g_lo
-        (Fraction(4), Fraction(6)),     # zone 2: strictly between
-        (GRID_HI, GRID_HI),             # zone 3: exactly g_hi
-        (Fraction(13), Fraction(16)),   # zone 4: strictly above g_hi
+        (-6, -3),             # zone 0: strictly below g_lo
+        (GRID_LO, GRID_LO),   # zone 1: exactly g_lo
+        (4, 6),               # zone 2: strictly between
+        (GRID_HI, GRID_HI),   # zone 3: exactly g_hi
+        (13, 16),             # zone 4: strictly above g_hi
     )
 
 

@@ -16,7 +16,6 @@ Two constructions:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.relation import CardinalDirection
@@ -198,14 +197,12 @@ def witness_triple(
 
 #: Finite stand-ins for the unbounded sides of outer tiles, far beyond
 #: every coordinate the placement engine uses.
-_FAR = Fraction(40)
+_FAR = 40
 
 
-def _intersect_bands(first, second) -> Tuple[Fraction, Fraction]:
+def _intersect_bands(first, second) -> Tuple[int, int]:
     """Intersect two (possibly unbounded) bands and clamp to ±_FAR."""
-    lo = max(first.lo, second.lo, -_FAR)
-    hi = min(first.hi, second.hi, _FAR)
-    return (Fraction(lo), Fraction(hi))
+    return max(first.lo, second.lo, -_FAR), min(first.hi, second.hi, _FAR)
 
 
 def _band_index(lo, hi, grid_lo, grid_hi) -> Optional[int]:

@@ -1,7 +1,10 @@
 """Tests for the consistency checker — including round-trips through
-concrete geometry (networks computed from real regions must check out)."""
+concrete geometry (networks computed from real regions must check out)
+and a brute-force oracle for the endpoint order solver."""
 
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,11 @@ from hypothesis import strategies as st
 
 from repro.errors import ReasoningError
 from repro.core.compute import compute_cdr
-from repro.core.relation import CardinalDirection
+from repro.core.relation import ALL_BASIC_RELATIONS, CardinalDirection
 from repro.reasoning.consistency import (
     ConsistencyStatus,
+    _AxisSystem,
+    _solve_axis,
     check_consistency,
 )
 from repro.workloads.generators import random_rectilinear_region
@@ -65,6 +70,17 @@ class TestObviousCases:
     def test_result_truthiness(self):
         assert check_consistency({("a", "b"): cd("N")})
         assert not check_consistency({("a", "b"): cd("N"), ("b", "a"): cd("N")})
+
+    def test_one_span_per_check_names_the_conflicting_axis(self):
+        from repro import obs
+
+        with obs.tracing() as tracer:
+            result = check_consistency({("a", "b"): cd("N"), ("b", "a"): cd("N")})
+        assert result.explanation.startswith("y-axis: ")
+        (check_span,) = tracer.spans
+        assert check_span.name == "reasoning.consistency"
+        assert check_span.attributes["status"] == "inconsistent"
+        assert check_span.attributes["axis"] == "y"
 
 
 class TestChains:
@@ -131,15 +147,13 @@ def test_networks_from_real_geometry_are_consistent(seed, n):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**9))
 def test_witnessed_answers_are_never_wrong(seed):
-    """Fuzz random small networks: whenever the checker says CONSISTENT,
-    its witness must verify; whenever INCONSISTENT, no brute-force
-    perturbation of a consistent base network is claimed (we only check
-    the witness direction — refutation soundness is covered by the
-    deterministic cases above)."""
+    """Fuzz random small networks of three variables, each pair
+    constrained at rate 0.8: whenever the checker says CONSISTENT, its
+    witness must verify (we only check the witness direction —
+    refutation soundness is covered by the deterministic cases above and
+    the order-solver oracle below)."""
     rng = random.Random(seed)
     names = ["a", "b", "c"]
-    from repro.core.relation import ALL_BASIC_RELATIONS
-
     constraints = {}
     for i in names:
         for j in names:
@@ -151,3 +165,57 @@ def test_witnessed_answers_are_never_wrong(seed):
     if result.status is ConsistencyStatus.CONSISTENT:
         for (i, j), relation in constraints.items():
             assert compute_cdr(result.witness[i], result.witness[j]) == relation
+
+
+@st.composite
+def order_systems(draw):
+    """Up to 5 variables with random weak (``<=``) and strict (``<``)
+    edges, self-loops included."""
+    size = draw(st.integers(1, 5))
+    variable = st.integers(0, size - 1)
+    edges = draw(st.lists(st.tuples(variable, variable, st.booleans()), max_size=9))
+    system = _AxisSystem()
+    for u, v, strict in edges:
+        (system.lt if strict else system.leq)(u, v)
+    return size, system
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_systems())
+def test_order_solver_matches_brute_force(drawn):
+    """``_solve_axis`` against every map of the variables to
+    ``{0, ..., n - 1}`` (a satisfiable order system over ℚ has a solution
+    there: rank the distinct values)."""
+    size, system = drawn
+
+    def satisfies(values):
+        return all(values[u] < values[v] for u, v in system.strict) and all(
+            values[u] <= values[v] for u, v in system.weak
+        )
+
+    reaches = [[u == v for v in range(size)] for u in range(size)]
+    for u, v in system.weak + system.strict:
+        reaches[u][v] = True
+    for middle, u, v in itertools.product(range(size), repeat=3):
+        reaches[u][v] = reaches[u][v] or (reaches[u][middle] and reaches[middle][v])
+
+    values, explanation = _solve_axis(system, [f"v{k}" for k in range(size)])
+    feasible = any(
+        satisfies(candidate)
+        for candidate in itertools.product(range(size), repeat=size)
+    )
+    assert (values is not None) == feasible
+    if values is not None:
+        assert explanation == ""
+        assert satisfies(values)
+        for u, v in itertools.product(range(size), repeat=2):
+            assert (values[u] == values[v]) == (reaches[u][v] and reaches[v][u])
+    else:
+        match = re.fullmatch(
+            r"contradictory cycle: v(\d) < v(\d) but both are forced equal",
+            explanation,
+        )
+        assert match, explanation
+        u, v = int(match.group(1)), int(match.group(2))
+        assert (u, v) in system.strict
+        assert reaches[u][v] and reaches[v][u]
