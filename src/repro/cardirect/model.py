@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.geometry.region import Region
@@ -65,6 +65,11 @@ class Configuration:
     image_name: str = ""
     image_file: str = ""
     _regions: Dict[str, AnnotatedRegion] = field(default_factory=dict)
+    # attribute -> value -> ids in configuration order; built per
+    # attribute on first use and dropped by every edit.
+    _by_attribute: Dict[str, Dict[str, Tuple[str, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_regions(
@@ -84,19 +89,37 @@ class Configuration:
         if annotated.id in self._regions:
             raise ConfigurationError(f"duplicate region id: {annotated.id!r}")
         self._regions[annotated.id] = annotated
+        self._by_attribute.clear()
 
     def remove(self, region_id: str) -> AnnotatedRegion:
         """Remove and return a region by id."""
         try:
-            return self._regions.pop(region_id)
+            removed = self._regions.pop(region_id)
         except KeyError:
             raise ConfigurationError(f"no region with id {region_id!r}") from None
+        self._by_attribute.clear()
+        return removed
 
     def replace_region(self, annotated: AnnotatedRegion) -> None:
         """Replace an existing region (same id) with new geometry/attributes."""
         if annotated.id not in self._regions:
             raise ConfigurationError(f"no region with id {annotated.id!r}")
         self._regions[annotated.id] = annotated
+        self._by_attribute.clear()
+
+    def ids_with(self, attribute: str, value: str) -> Tuple[str, ...]:
+        """The ids whose thematic ``attribute`` equals ``value``, in
+        configuration order (what ``color(x) = blue`` selects)."""
+        by_value = self._by_attribute.get(attribute)
+        if by_value is None:
+            grouped: Dict[str, List[str]] = {}
+            for annotated in self._regions.values():
+                grouped.setdefault(
+                    annotated.attribute(attribute), []
+                ).append(annotated.id)
+            by_value = {key: tuple(ids) for key, ids in grouped.items()}
+            self._by_attribute[attribute] = by_value
+        return by_value.get(value, ())
 
     def get(self, region_id: str) -> AnnotatedRegion:
         try:

@@ -366,7 +366,7 @@ class Query:
 
         def restrict(
             variable: str,
-        ) -> Tuple[List[str], Dict[int, FrozenSet[str]]]:
+        ) -> Tuple[Sequence[str], Dict[int, FrozenSet[str]]]:
             """Index-restrict the variable's pool at this search depth.
 
             Every relation clause linking ``variable`` to an
@@ -498,32 +498,35 @@ class Query:
 
     def _unary_filtered_candidates(
         self, configuration: Configuration
-    ) -> Dict[str, List[str]]:
+    ) -> Dict[str, Sequence[str]]:
         tracer = current_tracer()
-        candidates = {
-            variable: configuration.region_ids for variable in self.variables
+        # None: the variable's pool is still the whole configuration.
+        pools: Dict[str, Optional[Sequence[str]]] = {
+            variable: None for variable in self.variables
         }
         for condition in self.conditions:
             if not isinstance(
                 condition, (IdentityCondition, AttributeCondition)
             ):
                 continue
-            before = len(candidates[condition.variable])
+            pool = pools[condition.variable]
+            before = len(configuration) if pool is None else len(pool)
             started = time.perf_counter() if tracer is not None else 0.0
             if isinstance(condition, IdentityCondition):
                 resolved = configuration.resolve(condition.reference).id
-                candidates[condition.variable] = [
-                    region_id
-                    for region_id in candidates[condition.variable]
-                    if region_id == resolved
-                ]
+                pool = [resolved] if pool is None or resolved in pool else []
             else:
-                candidates[condition.variable] = [
-                    region_id
-                    for region_id in candidates[condition.variable]
-                    if configuration.get(region_id).attribute(condition.attribute)
-                    == condition.value
-                ]
+                matching = configuration.ids_with(
+                    condition.attribute, condition.value
+                )
+                if pool is None:
+                    pool = matching
+                else:
+                    keep = set(matching)
+                    pool = [
+                        region_id for region_id in pool if region_id in keep
+                    ]
+            pools[condition.variable] = pool
             if tracer is not None:
                 tracer.record(
                     "query.clause",
@@ -532,12 +535,13 @@ class Query:
                         "kind": _condition_kind(condition),
                         "clause": condition.variable,
                         "candidates_before": before,
-                        "candidates_after": len(
-                            candidates[condition.variable]
-                        ),
+                        "candidates_after": len(pool),
                     },
                 )
-        return candidates
+        return {
+            variable: configuration.region_ids if pool is None else pool
+            for variable, pool in pools.items()
+        }
 
 
 def _binary_conditions(conditions: Sequence[Condition]) -> List[Condition]:

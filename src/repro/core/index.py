@@ -8,14 +8,17 @@ observation behind the single-tile prune the exact and sweep engines
 run (:func:`repro.core.tiles.single_tile_prune`), lifted here from the
 per-pair test into a standing, queryable structure.
 
-:class:`SpatialIndex` packs every region's mbb — the four scalars
-``(min_x, max_x, min_y, max_y)``, exactly the columnar row layout the
-:class:`~repro.core.plane.GeometryPlane` materialises —
-into an STR-bulk-loaded page tree (sort-tile-recursive: sort by x
-centre, slab, sort slabs by y centre, chop into pages).  Every page
-keeps per-coordinate ranges, so a query touches a page's members only
-when the page straddles the query box: fully-inside pages are accepted
-wholesale, disjoint pages are skipped wholesale.
+:class:`SpatialIndex` keeps every region's mbb — the four scalars
+``(min_x, max_x, min_y, max_y)``, the box-row order the
+:class:`~repro.core.plane.GeometryPlane` materialises — as whole
+columns: one contiguous ``(4, n)`` float64 block of outward-rounded
+lows and one of highs.  A 4-d box query is eight whole-column
+comparisons ANDed together, and a clause stacks the boxes of all its
+disjuncts so that the same eight comparisons answer every disjunct at
+once.  A query therefore costs a fixed handful of numpy calls, whatever
+the number of regions or disjuncts, and an edit rewrites one entry per
+column.  Rows of ids without a box hold NaN, which fails every
+comparison; those ids are added back by their own mask.
 
 Two query families are served, both derived from Definition 1's tiling:
 
@@ -42,16 +45,16 @@ per disjunct and unioned.  The *definite* side is the prune theorem:
 ``mbb(a)`` strictly inside one non-``B`` tile forces the single-tile
 relation exactly.
 
-**Exactness over floats.**  The packed arrays are float64.  Coordinates
-that round-trip exactly (ints within 2^53, every float — all the
-geometry the repo's workloads generate) are compared exactly, so the
-candidate test is the exact closed-interval test and the strict test is
-exactly the native prune.  Coordinates beyond float64 (wide
-``Fraction`` values) are stored *widened outward* by one ulp on each
-side, and query bounds are widened the same way — the candidate set can
-only grow (stays a superset) and the definite set can only shrink
-(stays a subset), so index-accelerated answers equal full-scan answers
-for every coordinate type, not just the float-faithful ones.
+**Exactness over floats.**  The columns are float64.  Coordinates that
+round-trip exactly (ints within 2^53, every float — all the geometry
+the repo's workloads generate) are compared exactly, so the candidate
+test is the exact closed-interval test and the strict test is exactly
+the native prune.  Coordinates beyond float64 (wide ``Fraction``
+values) are stored *widened outward* by one ulp on each side, and query
+bounds are widened the same way — the candidate set can only grow
+(stays a superset) and the definite set can only shrink (stays a
+subset), so index-accelerated answers equal full-scan answers for every
+coordinate type, not just the float-faithful ones.
 """
 
 from __future__ import annotations
@@ -74,22 +77,21 @@ from repro.core.relation import CardinalDirection, DisjunctiveCD
 from repro.core.tiles import Tile
 from repro.geometry.bbox import BoundingBox
 
-__all__ = ["IndexAnswer", "SpatialIndex", "DEFAULT_PAGE_SIZE", "MAX_DISJUNCTS"]
-
-#: Rows per STR page: big enough that page bookkeeping is negligible,
-#: small enough that a straddling page costs little vectorised work.
-DEFAULT_PAGE_SIZE = 64
+__all__ = ["IndexAnswer", "SpatialIndex", "MAX_DISJUNCTS"]
 
 #: Disjunction width beyond which a clause stops being selective enough
 #: to bother the index with (the universal relation has 511 disjuncts;
 #: a union of that many 4-d boxes approaches "everything" anyway).
 MAX_DISJUNCTS = 64
 
-#: The four packed coordinates, in the plane's box-row order.
+#: The four box coordinates, in the plane's box-row order.
 _MIN_X, _MAX_X, _MIN_Y, _MAX_Y = range(4)
 
 #: The two clause roles an indexed variable can play.
 _ROLES = ("primary", "reference")
+
+#: One side of a 4-d query box: a bound per coordinate, in box-row order.
+_Bounds = Tuple[float, ...]
 
 
 def _float_down(value: object) -> float:
@@ -184,13 +186,13 @@ def _axis_reference_bounds(
 
 def _closed_bounds(
     relation: CardinalDirection, box: BoundingBox, role: str
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[_Bounds, _Bounds]:
     """The 4-d closed query box of one disjunct, conservatively widened.
 
-    Returns ``(lo, hi)`` float64 arrays over ``(min_x, max_x, min_y,
+    Returns ``(lo, hi)`` float bounds over ``(min_x, max_x, min_y,
     max_y)``: an indexed region can satisfy ``occupied = relation``
     (with ``box`` on the other side, in the given ``role``) only if its
-    packed coordinates fall inside.
+    stored coordinates fall inside.
     """
     axis = (
         _axis_primary_bounds if role == "primary" else _axis_reference_bounds
@@ -201,39 +203,35 @@ def _closed_bounds(
     y_min_lo, y_min_hi, y_max_lo, y_max_hi = axis(
         relation.spans_rows, box.min_y, box.max_y
     )
-    lo = np.array(
-        [
-            _float_down(x_min_lo),
-            _float_down(x_max_lo),
-            _float_down(y_min_lo),
-            _float_down(y_max_lo),
-        ]
+    lo = (
+        _float_down(x_min_lo),
+        _float_down(x_max_lo),
+        _float_down(y_min_lo),
+        _float_down(y_max_lo),
     )
-    hi = np.array(
-        [
-            _float_up(x_min_hi),
-            _float_up(x_max_hi),
-            _float_up(y_min_hi),
-            _float_up(y_max_hi),
-        ]
+    hi = (
+        _float_up(x_min_hi),
+        _float_up(x_max_hi),
+        _float_up(y_min_hi),
+        _float_up(y_max_hi),
     )
     return lo, hi
 
 
 def _strict_bounds(
     tile: Tile, box: BoundingBox, role: str
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[_Bounds, _Bounds]:
     """The 4-d *open* box of "strictly inside one tile", conservatively.
 
-    Returns ``(lo, hi)``: an indexed region whose packed coordinates
+    Returns ``(lo, hi)``: an indexed region whose stored coordinates
     fall strictly inside provably lands the single-tile prune, i.e. its
     relation against ``box`` (in the given ``role``) is exactly
     ``CardinalDirection(tile)``.  The widening direction is the
     opposite of :func:`_closed_bounds` — uncertain coordinates *fail*
     the strict test and fall back to engine verification.
     """
-    lo = np.full(4, -math.inf)
-    hi = np.full(4, math.inf)
+    lo = [-math.inf] * 4
+    hi = [math.inf] * 4
 
     def clamp(dim: int, *, above: object = None, below: object = None) -> None:
         if above is not None:  # coordinate must be > above
@@ -273,11 +271,11 @@ def _strict_bounds(
         else:
             clamp(_MIN_Y, below=box.min_y)
             clamp(_MAX_Y, above=box.max_y)
-    return lo, hi
+    return tuple(lo), tuple(hi)
 
 
 class SpatialIndex:
-    """An STR-packed index over region mbbs, updatable in place.
+    """Region mbbs as whole float64 columns, updatable in place.
 
     ``ids`` fixes the row order (matching, e.g., a configuration's or a
     :class:`~repro.core.plane.GeometryPlane`'s); ``boxes`` maps each id
@@ -288,104 +286,38 @@ class SpatialIndex:
     """
 
     def __init__(
-        self,
-        ids: Sequence[str],
-        boxes: Mapping[str, BoundingBox],
-        *,
-        page_size: int = DEFAULT_PAGE_SIZE,
+        self, ids: Sequence[str], boxes: Mapping[str, BoundingBox]
     ) -> None:
-        if page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {page_size}")
         self._ids: Tuple[str, ...] = tuple(ids)
         self._positions: Dict[str, int] = {
             region_id: position for position, region_id in enumerate(self._ids)
         }
         if len(self._positions) != len(self._ids):
             raise ValueError("duplicate region id in index")
-        self._page_size = page_size
         n = len(self._ids)
-        self._lo = np.full((n, 4), np.nan)
-        self._hi = np.full((n, 4), np.nan)
-        self._indexed = np.zeros(n, dtype=bool)
+        # Answers are read off an object column, so turning a row mask
+        # into ids is one numpy gather rather than a Python loop.
+        self._id_column = np.empty(n, dtype=object)
+        self._id_column[:] = self._ids
+        self._lo = np.full((4, n), np.nan)
+        self._hi = np.full((4, n), np.nan)
         for position, region_id in enumerate(self._ids):
             box = boxes.get(region_id)
             if box is not None:
                 self._write_row(position, box)
-        self._pack()
-
-    # -- construction -------------------------------------------------
+        self._unindexed = np.isnan(self._lo[_MIN_X])
+        self._unindexed_ids: FrozenSet[str] = frozenset(
+            self._ids_of(self._unindexed)
+        )
 
     def _write_row(self, position: int, box: BoundingBox) -> None:
         values = (box.min_x, box.max_x, box.min_y, box.max_y)
-        for dim, value in enumerate(values):
-            self._lo[position, dim] = _float_down(value)
-            self._hi[position, dim] = _float_up(value)
-        self._indexed[position] = True
+        self._lo[:, position] = [_float_down(value) for value in values]
+        self._hi[:, position] = [_float_up(value) for value in values]
 
-    def _pack(self) -> None:
-        """STR bulk-load: x-sorted slabs, y-sorted pages, page ranges."""
-        n = len(self._ids)
-        indexed_positions = np.nonzero(self._indexed)[0]
-        unindexed_positions = np.nonzero(~self._indexed)[0]
-        if indexed_positions.size:
-            centre_x = (
-                self._lo[indexed_positions, _MIN_X]
-                + self._hi[indexed_positions, _MAX_X]
-            )
-            centre_y = (
-                self._lo[indexed_positions, _MIN_Y]
-                + self._hi[indexed_positions, _MAX_Y]
-            )
-            page_count = max(1, -(-indexed_positions.size // self._page_size))
-            slab_count = max(1, int(math.ceil(math.sqrt(page_count))))
-            slab_rows = -(-indexed_positions.size // slab_count)
-            by_x = indexed_positions[np.argsort(centre_x, kind="stable")]
-            ordered: List[np.ndarray] = []
-            for slab_start in range(0, by_x.size, slab_rows):
-                slab = by_x[slab_start : slab_start + slab_rows]
-                slab_centre_y = centre_y[
-                    np.searchsorted(indexed_positions, slab)
-                ]
-                ordered.append(slab[np.argsort(slab_centre_y, kind="stable")])
-            order = np.concatenate(ordered)
-        else:
-            order = np.empty(0, dtype=np.int64)
-        # Unindexed rows ride at the tail in a dedicated always-skip page
-        # region: queries union them back in by id, not by arithmetic.
-        self._order = np.concatenate(
-            [order, unindexed_positions]
-        ).astype(np.int64)
-        self._indexed_count = int(order.size)
-        boundaries = list(range(0, self._indexed_count, self._page_size))
-        boundaries.append(self._indexed_count)
-        self._page_bounds: List[Tuple[int, int]] = [
-            (boundaries[i], boundaries[i + 1])
-            for i in range(len(boundaries) - 1)
-            if boundaries[i + 1] > boundaries[i]
-        ]
-        pages = len(self._page_bounds)
-        self._page_of = np.full(n, -1, dtype=np.int64)
-        self._page_min_lo = np.full((pages, 4), np.inf)
-        self._page_max_lo = np.full((pages, 4), -np.inf)
-        self._page_min_hi = np.full((pages, 4), np.inf)
-        self._page_max_hi = np.full((pages, 4), -np.inf)
-        for page, (start, stop) in enumerate(self._page_bounds):
-            members = self._order[start:stop]
-            self._page_of[members] = page
-            self._refresh_page(page)
-        self._unindexed_ids: FrozenSet[str] = frozenset(
-            self._ids[position] for position in unindexed_positions
-        )
-
-    def _refresh_page(self, page: int) -> None:
-        start, stop = self._page_bounds[page]
-        members = self._order[start:stop]
-        lo = self._lo[members]
-        hi = self._hi[members]
-        self._page_min_lo[page] = lo.min(axis=0)
-        self._page_max_lo[page] = lo.max(axis=0)
-        self._page_min_hi[page] = hi.min(axis=0)
-        self._page_max_hi[page] = hi.max(axis=0)
+    def _ids_of(self, mask: np.ndarray) -> List[str]:
+        """The ids of a row mask, in row order."""
+        return self._id_column[mask].tolist()
 
     # -- introspection ------------------------------------------------
 
@@ -399,10 +331,6 @@ class SpatialIndex:
         """Ids with no usable box: always candidates, never definite."""
         return self._unindexed_ids
 
-    @property
-    def page_count(self) -> int:
-        return len(self._page_bounds)
-
     def __len__(self) -> int:
         return len(self._ids)
 
@@ -414,91 +342,66 @@ class SpatialIndex:
     def update(self, region_id: str, box: Optional[BoundingBox]) -> bool:
         """Re-point one id at a new box, in place.
 
-        Rewrites the id's packed row and refreshes only its page's
-        ranges — O(page size), no repack.  Returns ``False`` (leaving
-        the index unchanged) when the edit cannot be absorbed in place:
-        an unknown id, or an id that must move between the indexed and
-        unindexed populations (``box=None`` for an indexed id, a real
-        box for an unindexed one) — callers rebuild then.
+        Rewrites the id's entry in each of the eight columns.  Returns
+        ``False`` (leaving the index unchanged) when the edit cannot be
+        absorbed in place: an unknown id, or an id that must move
+        between the indexed and unindexed populations (``box=None`` for
+        an indexed id, a real box for an unindexed one) — callers
+        rebuild then.
         """
         position = self._positions.get(region_id)
         if position is None:
             return False
-        indexed = bool(self._indexed[position])
-        if box is None or not indexed:
-            # Changing population membership moves rows across the
-            # packed/unindexed boundary: that is a rebuild, not an edit.
-            return box is None and not indexed
+        unindexed = bool(self._unindexed[position])
+        if box is None or unindexed:
+            # Changing population membership changes the unindexed set
+            # every query unions in: that is a rebuild, not an edit.
+            return box is None and unindexed
         self._write_row(position, box)
-        self._refresh_page(int(self._page_of[position]))
         return True
 
     # -- queries ------------------------------------------------------
 
     def _query_mask(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        *,
-        strict: bool,
+        self, boxes: Sequence[Tuple[_Bounds, _Bounds]], *, strict: bool
     ) -> np.ndarray:
-        """Boolean row mask of one 4-d box query over the packed pages.
+        """Row masks of ``k`` stacked 4-d box queries, as a ``(k, n)`` block.
 
+        ``boxes`` holds one ``(lo, hi)`` bound pair per query.  Each of
+        the eight comparisons covers every query and every row at once.
         ``strict=False``: the conservative closed test — a row passes
         when each widened coordinate interval meets the (pre-widened)
         query interval; never misses a true satisfier.  ``strict=True``:
         the definite open test — a row passes only when each widened
-        interval sits strictly inside; never admits a false one.
+        interval sits strictly inside; never admits a false one.  NaN
+        rows (unindexed ids) pass neither.
         """
-        mask = np.zeros(len(self._ids), dtype=bool)
-        row_lo, row_hi = self._lo, self._hi
-        for page, (start, stop) in enumerate(self._page_bounds):
-            if strict:
-                # No member can pass when the page range leaks outside.
-                if (self._page_max_hi[page] <= lo).any() or (
-                    self._page_min_lo[page] >= hi
-                ).any():
-                    continue
-                if (self._page_min_lo[page] > lo).all() and (
-                    self._page_max_hi[page] < hi
-                ).all():
-                    mask[self._order[start:stop]] = True
-                    continue
-            else:
-                if (self._page_max_hi[page] < lo).any() or (
-                    self._page_min_lo[page] > hi
-                ).any():
-                    continue
-                if (self._page_min_hi[page] >= lo).all() and (
-                    self._page_max_lo[page] <= hi
-                ).all():
-                    mask[self._order[start:stop]] = True
-                    continue
-            members = self._order[start:stop]
-            if strict:
-                passes = (row_lo[members] > lo).all(axis=1) & (
-                    row_hi[members] < hi
-                ).all(axis=1)
-            else:
-                passes = (row_hi[members] >= lo).all(axis=1) & (
-                    row_lo[members] <= hi
-                ).all(axis=1)
-            mask[members[passes]] = True
+        # (k, 2, 4) -> two (4, k, 1) blocks: bound column `dim` of every
+        # query broadcasts against row column `dim`.
+        stacked = np.array(boxes, dtype=np.float64)
+        lows, highs = stacked.transpose(1, 2, 0)[..., np.newaxis]
+        if strict:  # lo < row low, row high < hi
+            tests = ((self._lo, np.greater, lows), (self._hi, np.less, highs))
+        else:  # row high >= lo, row low <= hi
+            tests = (
+                (self._hi, np.greater_equal, lows),
+                (self._lo, np.less_equal, highs),
+            )
+        mask = np.ones((len(boxes), len(self._ids)), dtype=bool)
+        for rows, compare, bounds in tests:
+            for dim in range(4):
+                mask &= compare(rows[dim], bounds[dim])
         return mask
 
     def box_query(
         self, lo: Sequence[float], hi: Sequence[float]
     ) -> Tuple[str, ...]:
         """Ids whose ``(min_x, max_x, min_y, max_y)`` lie in a closed
-        4-d box (unbounded dimensions as ±inf); unindexed ids included.
+        4-d box (unbounded dimensions as ±inf), in row order; unindexed
+        ids included.
         """
-        mask = self._query_mask(
-            np.asarray(lo, dtype=np.float64),
-            np.asarray(hi, dtype=np.float64),
-            strict=False,
-        )
-        found = [self._ids[position] for position in np.nonzero(mask)[0]]
-        return tuple(found)
+        mask = self._query_mask([(tuple(lo), tuple(hi))], strict=False)[0]
+        return tuple(self._ids_of(mask | self._unindexed))
 
     def direction_candidates(
         self,
@@ -520,25 +423,24 @@ class SpatialIndex:
             raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
         if len(relation) > max_disjuncts:
             return None
-        candidate_mask = np.zeros(len(self._ids), dtype=bool)
-        definite_mask = np.zeros(len(self._ids), dtype=bool)
-        for disjunct in relation:
-            lo, hi = _closed_bounds(disjunct, box, role)
-            candidate_mask |= self._query_mask(lo, hi, strict=False)
-            if disjunct.is_single_tile:
-                tile = next(iter(disjunct.tiles))
-                if tile is not Tile.B:
-                    strict_lo, strict_hi = _strict_bounds(tile, box, role)
-                    definite_mask |= self._query_mask(
-                        strict_lo, strict_hi, strict=True
-                    )
-        candidates = frozenset(
-            self._ids[position] for position in np.nonzero(candidate_mask)[0]
-        ) | self._unindexed_ids
-        definite = frozenset(
-            self._ids[position] for position in np.nonzero(definite_mask)[0]
-        )
-        return IndexAnswer(candidates, definite)
+        if relation.is_empty:
+            return IndexAnswer(frozenset(), frozenset())
+        closed = [_closed_bounds(disjunct, box, role) for disjunct in relation]
+        candidate_mask = self._query_mask(closed, strict=False).any(axis=0)
+        candidate_mask |= self._unindexed
+        tiles = [
+            tile
+            for disjunct in relation
+            if disjunct.is_single_tile
+            for tile in disjunct.tiles
+            if tile is not Tile.B
+        ]
+        definite: FrozenSet[str] = frozenset()
+        if tiles:
+            strict = [_strict_bounds(tile, box, role) for tile in tiles]
+            definite_mask = self._query_mask(strict, strict=True).any(axis=0)
+            definite = frozenset(self._ids_of(definite_mask))
+        return IndexAnswer(frozenset(self._ids_of(candidate_mask)), definite)
 
     def tile_candidates(
         self, box: BoundingBox, *, role: str = "primary"
@@ -552,13 +454,10 @@ class SpatialIndex:
         """
         if role not in _ROLES:
             raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
-        result: Dict[Tile, Tuple[str, ...]] = {}
-        for tile in Tile:
-            if tile is Tile.B:
-                continue
-            lo, hi = _strict_bounds(tile, box, role)
-            mask = self._query_mask(lo, hi, strict=True)
-            result[tile] = tuple(
-                self._ids[position] for position in np.nonzero(mask)[0]
-            )
-        return result
+        tiles = [tile for tile in Tile if tile is not Tile.B]
+        masks = self._query_mask(
+            [_strict_bounds(tile, box, role) for tile in tiles], strict=True
+        )
+        return {
+            tile: tuple(self._ids_of(mask)) for tile, mask in zip(tiles, masks)
+        }

@@ -204,3 +204,49 @@ class TestIndexTelemetry:
         text = json.dumps(registry.snapshot())
         assert "repro_query_index_candidates_total" not in text
         assert "repro_query_clause_checks_total" in text
+
+
+class TestAttributeTableFreshness:
+    """Colour filters read a table the configuration builds on first
+    use; every edit must drop it, or filters answer from stale colours."""
+
+    QUERIES = [
+        Query(["x"], [AttributeCondition("x", "color", color)])
+        for color in COLORS
+    ] + [
+        Query(
+            ["x", "y"],
+            [
+                AttributeCondition("x", "color", "red"),
+                AttributeCondition("y", "color", "blue"),
+                RelationCondition(
+                    "x", DisjunctiveCD(ALL_BASIC_RELATIONS[:40]), "y"
+                ),
+            ],
+        )
+    ]
+
+    def _assert_matches_fresh(self, store):
+        fresh = RelationStore(
+            Configuration.from_regions(store.configuration.regions())
+        )
+        for query in self.QUERIES:
+            assert query.evaluate(store) == query.evaluate(fresh), (
+                query.conditions
+            )
+
+    def test_colour_queries_follow_edits(self):
+        rng = random.Random(29)
+        configuration = random_configuration(rng, 14)
+        store = RelationStore(configuration)
+        self._assert_matches_fresh(store)  # builds the table
+        red = next(r for r in configuration if r.color == "red")
+        store.update_region(red.recolored("blue"))
+        self._assert_matches_fresh(store)
+        configuration.add(
+            AnnotatedRegion("added", rect_region(40, 40, 45, 45), color="red")
+        )
+        self._assert_matches_fresh(store)
+        blue = next(r for r in configuration if r.color == "blue")
+        configuration.remove(blue.id)
+        self._assert_matches_fresh(store)

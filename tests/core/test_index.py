@@ -1,4 +1,4 @@
-"""Property tests for the packed spatial index (`repro.core.index`).
+"""Property tests for the column spatial index (`repro.core.index`).
 
 The index is an *accelerator*, so its acceptance bar is containment,
 not similarity: for every direction clause, its candidate set must
@@ -8,20 +8,26 @@ whose relation is exactly the single-tile disjunct (so the evaluator
 may skip the engine check).  `tile_candidates` gets the adversarial
 boundary treatment `single_tile_prune` gets in the sweep suite: the
 two must agree pair-for-pair, including on grazing mbbs where strict
-semantics forbid pruning.
+semantics forbid pruning.  The whole-column comparisons themselves are
+checked exactly, before and after edits, against a per-row plain-Python
+reference that applies the same query boxes.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import create_engine
 from repro.core.index import (
-    DEFAULT_PAGE_SIZE,
     MAX_DISJUNCTS,
+    IndexAnswer,
     SpatialIndex,
+    _closed_bounds,
+    _strict_bounds,
 )
 from repro.core.relation import (
     ALL_BASIC_RELATIONS,
@@ -178,6 +184,17 @@ class TestDirectionCandidates:
         assert answer.candidates == frozenset()
         assert answer.definite == frozenset()
 
+    @pytest.mark.parametrize("role", ["primary", "reference"])
+    def test_empty_disjunction_rejects_unindexed_ids(self, role):
+        """Nothing satisfies the empty disjunction, not even an id the
+        index cannot see."""
+        boxes = {"a": BoundingBox(0, 0, 1, 1)}
+        index = SpatialIndex(("a", "broken"), boxes)
+        answer = index.direction_candidates(
+            DisjunctiveCD(), BoundingBox(5, 5, 6, 6), role=role
+        )
+        assert answer == IndexAnswer(frozenset(), frozenset())
+
     def test_bad_role_rejected(self):
         regions = _workload(2, 3)
         index, boxes = _index(regions)
@@ -259,19 +276,6 @@ class TestMaintenance:
 
 
 class TestPacking:
-    def test_multi_page_agrees_with_single_page(self):
-        """STR paging is a layout choice, never a semantics change."""
-        regions = _workload(13, 3 * DEFAULT_PAGE_SIZE)
-        boxes = _boxes(regions)
-        paged = SpatialIndex(sorted(regions), boxes)
-        flat = SpatialIndex(sorted(regions), boxes, page_size=10**9)
-        assert paged.page_count > 1
-        assert flat.page_count == 1
-        for anchor in list(boxes.values())[:10]:
-            assert paged.tile_candidates(anchor) == flat.tile_candidates(
-                anchor
-            )
-
     def test_box_query(self):
         boxes = {
             "inside": BoundingBox(1, 1, 2, 2),
@@ -287,11 +291,214 @@ class TestPacking:
         )
         assert set(everything) == set(boxes)
 
+    def test_box_query_returns_unindexed_ids_in_row_order(self):
+        boxes = {
+            "a": BoundingBox(0, 0, 1, 1),
+            "b": BoundingBox(30, 30, 40, 40),
+        }
+        index = SpatialIndex(("a", "broken", "b"), boxes)
+        assert index.box_query((-np.inf,) * 4, (np.inf,) * 4) == (
+            "a",
+            "broken",
+            "b",
+        )
+        assert index.box_query((0, 0, 0, 0), (10, 10, 10, 10)) == (
+            "a",
+            "broken",
+        )
+
     def test_empty_and_validation(self):
         empty = SpatialIndex((), {})
         assert len(empty) == 0
         assert empty.box_query((0, 0, 0, 0), (1, 1, 1, 1)) == ()
         with pytest.raises(ValueError):
             SpatialIndex(("a", "a"), {})
-        with pytest.raises(ValueError):
-            SpatialIndex(("a",), {}, page_size=0)
+
+
+# -- the column scan against a per-row reference ---------------------------
+
+SINGLE_TILE_RELATIONS = [CardinalDirection(tile) for tile in Tile]
+
+
+def _widened(value):
+    """The float64 interval a stored coordinate occupies: ``value`` itself
+    when float64 holds it, else the two floats around it."""
+    low = high = float(value)
+    if low > value:
+        low = math.nextafter(low, -math.inf)
+    if high < value:
+        high = math.nextafter(high, math.inf)
+    return low, high
+
+
+# Thirds, sevenths and tenths that no float64 holds (stored widened).
+_INEXACT = [
+    Fraction(numerator, denominator)
+    for numerator, denominator in ((-13, 3), (1, 3), (2, 3), (9, 7), (31, 10))
+]
+# Ints, floats, those fractions and the floats either side of each.  A
+# small shared pool makes corners coincide with the anchor's grid lines
+# and with each other's rounding, where the closed and strict tests and
+# the outward widening part ways.
+_COORDINATES = (
+    list(range(-6, 7))
+    + [-5.5, -0.1, 0.3, 2.25, 4.000000000000001]
+    + _INEXACT
+    + [side for value in _INEXACT for side in _widened(value)]
+)
+_coordinates = st.sampled_from(_COORDINATES)
+_extents = st.lists(_coordinates, min_size=2, max_size=2, unique=True).map(
+    sorted
+)
+
+
+@st.composite
+def _bounding_boxes(draw):
+    (min_x, max_x), (min_y, max_y) = draw(_extents), draw(_extents)
+    return BoundingBox(min_x, min_y, max_x, max_y)
+
+
+_relations = st.builds(
+    DisjunctiveCD,
+    st.lists(
+        st.one_of(
+            st.sampled_from(SINGLE_TILE_RELATIONS),
+            st.sampled_from(ALL_BASIC_RELATIONS),
+        ),
+        max_size=8,
+    ),
+)
+
+
+class _RowReference:
+    """The index's answers, one row at a time in plain Python."""
+
+    def __init__(self, ids, boxes):
+        self.ids = list(ids)
+        self.rows = {}
+        for region_id, box in boxes.items():
+            widened = [
+                _widened(value)
+                for value in (box.min_x, box.max_x, box.min_y, box.max_y)
+            ]
+            self.rows[region_id] = (
+                [low for low, _ in widened],
+                [high for _, high in widened],
+            )
+
+    def closed(self, region_id, lo, hi):
+        if region_id not in self.rows:
+            return False
+        row_lo, row_hi = self.rows[region_id]
+        return all(
+            row_hi[dim] >= lo[dim] and row_lo[dim] <= hi[dim]
+            for dim in range(4)
+        )
+
+    def strict(self, region_id, lo, hi):
+        if region_id not in self.rows:
+            return False
+        row_lo, row_hi = self.rows[region_id]
+        return all(
+            row_lo[dim] > lo[dim] and row_hi[dim] < hi[dim]
+            for dim in range(4)
+        )
+
+    def direction_candidates(self, relation, box, role):
+        if relation.is_empty:
+            return IndexAnswer(frozenset(), frozenset())
+        closed = [_closed_bounds(disjunct, box, role) for disjunct in relation]
+        strict = [
+            _strict_bounds(tile, box, role)
+            for disjunct in relation
+            if disjunct.is_single_tile
+            for tile in disjunct.tiles
+            if tile is not Tile.B
+        ]
+        candidates = frozenset(
+            region_id
+            for region_id in self.ids
+            if region_id not in self.rows
+            or any(self.closed(region_id, lo, hi) for lo, hi in closed)
+        )
+        definite = frozenset(
+            region_id
+            for region_id in self.ids
+            if any(self.strict(region_id, lo, hi) for lo, hi in strict)
+        )
+        return IndexAnswer(candidates, definite)
+
+    def tile_candidates(self, box, role):
+        answers = {}
+        for tile in Tile:
+            if tile is Tile.B:
+                continue
+            lo, hi = _strict_bounds(tile, box, role)
+            answers[tile] = tuple(
+                region_id
+                for region_id in self.ids
+                if self.strict(region_id, lo, hi)
+            )
+        return answers
+
+    def box_query(self, lo, hi):
+        return tuple(
+            region_id
+            for region_id in self.ids
+            if region_id not in self.rows or self.closed(region_id, lo, hi)
+        )
+
+
+@st.composite
+def _scenes(draw):
+    """An index input, some ids box-less, plus one edit of an indexed id."""
+    count = draw(st.integers(0, 40))
+    ids = [f"r{number}" for number in range(count)]
+    draw(st.randoms(use_true_random=False)).shuffle(ids)
+    boxes = {
+        region_id: draw(_bounding_boxes())
+        for region_id in ids
+        if draw(st.integers(0, 5))
+    }
+    edit = None
+    if boxes:
+        edit = (draw(st.sampled_from(sorted(boxes))), draw(_bounding_boxes()))
+    return ids, boxes, edit
+
+
+class TestColumnScanOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scene=_scenes(),
+        anchor=_bounding_boxes(),
+        relations=st.lists(_relations, min_size=1, max_size=3),
+        query_box=st.lists(
+            st.one_of(_coordinates, st.just(-math.inf), st.just(math.inf)),
+            min_size=8,
+            max_size=8,
+        ),
+    )
+    def test_matches_row_reference_before_and_after_update(
+        self, scene, anchor, relations, query_box
+    ):
+        ids, boxes, edit = scene
+        lo = tuple(float(value) for value in query_box[:4])
+        hi = tuple(float(value) for value in query_box[4:])
+        index = SpatialIndex(ids, boxes)
+        for stage in ("built", "updated"):
+            if stage == "updated":
+                if edit is None:
+                    return
+                region_id, box = edit
+                assert index.update(region_id, box)
+                boxes = {**boxes, region_id: box}
+            reference = _RowReference(ids, boxes)
+            for role in ("primary", "reference"):
+                for relation in relations:
+                    assert index.direction_candidates(
+                        relation, anchor, role=role
+                    ) == reference.direction_candidates(relation, anchor, role)
+                assert index.tile_candidates(
+                    anchor, role=role
+                ) == reference.tile_candidates(anchor, role)
+            assert index.box_query(lo, hi) == reference.box_query(lo, hi)
