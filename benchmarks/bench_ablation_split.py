@@ -8,6 +8,7 @@ reports wrong relations — quantified as a defect rate.
 
 import pytest
 
+from repro.core.compute import compute_cdr
 from repro.core.split import divide_region_edges
 from repro.core.relation import CardinalDirection
 from repro.geometry.region import Region
@@ -66,12 +67,20 @@ def test_naive_rule_defect_rate(grid_aligned_cases, capsys):
         relation_under(False, region) != truth
         for region, truth in zip(flush, truths)
     )
+    # Compute-CDR's band walk applies the interior-side rule without
+    # dividing the edges.
+    walk_wrong = sum(
+        compute_cdr(region, reference) != truth
+        for region, truth in zip(flush, truths)
+    )
     with capsys.disabled():
         print(
             f"\nGrid-flush defect rate (E15): naive {naive_wrong}/{len(flush)}, "
-            f"interior-side {interior_wrong}/{len(flush)}"
+            f"interior-side {interior_wrong}/{len(flush)}, "
+            f"Compute-CDR {walk_wrong}/{len(flush)}"
         )
     assert interior_wrong == 0
+    assert walk_wrong == 0
     assert naive_wrong > 0
 
 

@@ -3,9 +3,11 @@
 Not a paper experiment — an engineering extension: the same two
 algorithms evaluated over numpy arrays of parameter intervals instead of
 per-edge Python objects.  The point of recording it here is the shape:
-the reference implementation already beats clipping (E10); the fast path
-widens the margin by another 2-4x on 8k-edge workloads while remaining
-extensionally equal (see tests/core/test_fast.py).
+the reference implementation already beats clipping (E10).  For
+percentages the fast path is about 5x faster again on 8k-edge workloads
+while remaining extensionally equal (see tests/core/test_fast.py).  For
+the relation the reference's band walk, which forms no crossing point,
+is about twice as fast as the numpy kernel (EXPERIMENTS.md E17).
 """
 
 import pytest

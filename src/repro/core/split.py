@@ -1,10 +1,15 @@
-"""Edge division and tile classification — the shared first step of both
-algorithms (Section 3.1, Example 3).
+"""Edge division and tile classification (Section 3.1, Example 3).
 
 Given the primary region's polygons and ``mbb(b)``, every edge is divided
 at its proper crossings with the four grid lines so that each resulting
 sub-edge lies in exactly one tile; the sub-edge's tile is the tile
-containing its midpoint.
+containing its midpoint.  Compute-CDR% sums its trapezoids over these
+sub-edges, and the clipping comparison counts them (E3/E4's
+introduced-edge counts).  Compute-CDR itself never materialises them: it
+walks each edge through the bands of the grid
+(:mod:`repro.core.compute`), which gives the same tiles; the
+differential tests in ``tests/core/test_compute_walk.py`` check that
+against :func:`iter_divided_edges`.
 
 **Boundary disambiguation.**  The paper picks "the tile where the middle
 point lies", which is ambiguous when a sub-edge lies *on* a grid line
@@ -111,8 +116,8 @@ def iter_divided_edges(
 
     This is a single pass over the region's edges: each edge is divided at
     its (at most four) grid-line crossings and each piece classified in
-    O(1) — the source of the overall ``O(k_a + k_b)`` bound of Theorems 1
-    and 2.
+    O(1) — the source of Compute-CDR%'s ``O(k_a + k_b)`` bound
+    (Theorem 2).
     """
     classify = classify_segment_naive if naive else classify_segment
     min_x, max_x = box.min_x, box.max_x

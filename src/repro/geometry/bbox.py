@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import GeometryError
-from repro.geometry.point import Coordinate, Point, _half
+from repro.geometry.point import Coordinate, Point
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,6 @@ class BoundingBox:
     def height(self) -> Coordinate:
         return self.max_y - self.min_y
 
-    @property
-    def center(self) -> Point:
-        """The centre of the box (the point the paper's ``B``-tile test uses)."""
-        return Point(_half(self.min_x + self.max_x), _half(self.min_y + self.max_y))
-
     def area(self) -> Coordinate:
         return self.width * self.height
 
@@ -69,13 +64,6 @@ class BoundingBox:
             Point(self.min_x, self.max_y),
             Point(self.max_x, self.max_y),
             Point(self.max_x, self.min_y),
-        )
-
-    def contains_point(self, point: Point) -> bool:
-        """True when ``point`` lies in the *closed* box."""
-        return (
-            self.min_x <= point.x <= self.max_x
-            and self.min_y <= point.y <= self.max_y
         )
 
     def contains_box(self, other: "BoundingBox") -> bool:

@@ -7,6 +7,8 @@ resolves them to the semantically correct tile.
 
 from fractions import Fraction
 
+import pytest
+
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.region import Region
 from repro.geometry.segment import Segment
@@ -119,6 +121,22 @@ class TestGridAlignedAblation:
         region = rect_region(0, 0, 10, 10)
         relation = compute_cdr(region, rect_region(0, 0, 10, 10))
         assert str(relation) == "B"
+
+    @pytest.mark.parametrize(
+        "corners, expected",
+        [
+            ((-4, 2, 0, 8), "W"), ((10, 2, 14, 8), "E"), ((2, 10, 8, 14), "N"),
+            ((2, -4, 8, 0), "S"), ((0, 0, 10, 10), "B"), ((-4, -4, 0, 0), "SW"),
+        ],
+    )
+    def test_walk_and_interior_rule_agree_on_flush_regions(self, corners, expected):
+        """Compute-CDR's band walk applies the same inward-normal rule
+        without dividing: same tiles as the divided edges, and right."""
+        region = rect_region(*corners)
+        divided = {p.tile for p in divide_region_edges(region, BOX)}
+        relation = compute_cdr(region, rect_region(0, 0, 10, 10))
+        assert set(relation.tiles) == divided
+        assert str(relation) == expected
 
     def test_fraction_flush_region(self):
         region = rect_region(Fraction(-4), Fraction(0), Fraction(0), Fraction(10))

@@ -1,7 +1,5 @@
 """Tests for repro.geometry.bbox."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,26 +37,12 @@ class TestConstruction:
 
 
 class TestGeometry:
-    def test_center(self):
-        assert BoundingBox(0, 0, 2, 4).center == Point(1, 2)
-
-    def test_center_is_exact_for_odd_spans(self):
-        center = BoundingBox(0, 0, 1, 1).center
-        assert center == Point(Fraction(1, 2), Fraction(1, 2))
-
     def test_area(self):
         assert BoundingBox(0, 0, 3, 4).area() == 12
 
     def test_corners_are_clockwise(self):
         corners = BoundingBox(0, 0, 1, 1).corners()
         assert corners == (Point(0, 0), Point(0, 1), Point(1, 1), Point(1, 0))
-
-    def test_contains_point_closed(self):
-        box = BoundingBox(0, 0, 1, 1)
-        assert box.contains_point(Point(0, 0))       # corner
-        assert box.contains_point(Point(1, 0.5))     # edge
-        assert box.contains_point(Point(0.5, 0.5))   # interior
-        assert not box.contains_point(Point(1.01, 0.5))
 
     def test_contains_box(self):
         outer = BoundingBox(0, 0, 10, 10)
@@ -89,9 +73,3 @@ def test_union_contains_both(x, y, w, h):
     b = BoundingBox(x + 7, y - 3, x + 7 + w, y - 3 + h)
     union = a.union(b)
     assert union.contains_box(a) and union.contains_box(b)
-
-
-@given(st.integers(-100, 100), st.integers(-100, 100), st.integers(1, 50))
-def test_center_is_inside(x, y, size):
-    box = BoundingBox(x, y, x + size, y + size)
-    assert box.contains_point(box.center)

@@ -38,7 +38,7 @@ class TestStarPolygon:
         polygon = star_polygon(8, center=(5.0, -3.0), radius=2.0)
         box = polygon.bounding_box()
         assert abs(box.max_x - 7.0) < 1e-9
-        assert abs(float(box.center.y) + 3.0) < 0.5
+        assert abs(float(box.min_y + box.max_y) / 2 + 3.0) < 0.5
 
 
 class TestRandomStarPolygon:
