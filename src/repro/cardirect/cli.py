@@ -26,10 +26,12 @@ writes the collected span tree as JSON Lines; ``--metrics FILE``
 installs a metrics registry and writes Prometheus text (or JSON when
 the file name ends in ``.json``); ``--profile FILE`` runs the sampling
 profiler (:mod:`repro.obs.profiler`) and writes flamegraph-ready
-collapsed stacks; ``--events FILE`` records the structured event log
-(:mod:`repro.obs.events`), slow-op warnings included.  ``profile``
-renders a previously recorded trace (or, with ``--sample``, a
-collapsed-stack profile).
+collapsed stacks; ``--events FILE`` writes the run's moments — a
+``slow_op`` warning per span over its ``REPRO_SLOW_OP_BUDGET`` budget,
+a ``batch.worker_lost`` warning per lost pool dispatch — as JSON Lines,
+read off the trace (:func:`repro.obs.event_records`), so it installs a
+tracer too.  ``profile`` renders a previously recorded trace (or, with
+``--sample``, a collapsed-stack profile).
 
 The GUI of the original tool (drawing polygons over a map with a mouse)
 is out of scope for a library; everything computational — relation
@@ -89,7 +91,8 @@ def _add_engine_options(command: argparse.ArgumentParser) -> None:
 def _add_obs_options(
     parser: argparse.ArgumentParser, *, subcommand: bool
 ) -> None:
-    """The global ``--trace`` / ``--metrics`` observability options.
+    """The global ``--trace`` / ``--metrics`` / ``--profile`` /
+    ``--events`` observability options.
 
     They are defined on the main parser (so ``cardirect --trace f ...``
     works) *and* on every subcommand (so the natural ``cardirect
@@ -124,8 +127,8 @@ def _add_obs_options(
     parser.add_argument(
         "--events",
         metavar="FILE",
-        help="record the structured event log (incl. slow-op warnings; "
-        "see REPRO_SLOW_OP_BUDGET) and write it to FILE as JSON Lines",
+        help="record the run's events (incl. slow-op warnings; "
+        "see REPRO_SLOW_OP_BUDGET) and write them to FILE as JSON Lines",
         **kwargs,
     )
 
@@ -945,7 +948,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro import obs
 
-    sinks = obs.fresh_sinks({sink: {} for sink, path in paths.items() if path})
+    # The events file is read off the trace, so it needs a tracer too.
+    sinks = obs.fresh_sinks(
+        {"trace" if sink == "events" else sink for sink, path in paths.items() if path}
+    )
     status = EXIT_INTERRUPTED
     try:
         with sinks, obs.span(f"cli.{arguments.command}") as root:
@@ -966,8 +972,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _flush_observability(sinks, paths) -> None:
     """Write the collected spans/metrics/profile/events to their
     ``paths``; never raise (runs on Ctrl-C too)."""
+    import json
+
+    from repro import obs
+
     try:
-        if sinks.tracer is not None:
+        if paths["trace"]:
             sinks.tracer.export_jsonl(paths["trace"])
             print(
                 f"trace: {len(sinks.tracer.spans)} spans written to {paths['trace']}",
@@ -986,10 +996,14 @@ def _flush_observability(sinks, paths) -> None:
                 f"{paths['profile']}",
                 file=sys.stderr,
             )
-        if sinks.events is not None:
-            sinks.events.export_jsonl(paths["events"])
+        if paths["events"]:
+            records = list(obs.event_records(sinks.tracer.spans))
+            with open(paths["events"], "w", encoding="utf-8") as handle:
+                handle.writelines(
+                    json.dumps(record, sort_keys=True) + "\n" for record in records
+                )
             print(
-                f"events: {len(sinks.events.events)} written to {paths['events']}",
+                f"events: {len(records)} written to {paths['events']}",
                 file=sys.stderr,
             )
     except OSError as error:

@@ -58,7 +58,9 @@ installed, the sweep is traced end to end: a ``batch.relations`` root
 span, one ``batch.chunk`` span per chunk (serial sweeps are one
 chunk), and — under ``workers=N`` — whatever each worker records into
 the fresh sinks it opens, shipped back with the chunk and grafted into
-the installed ones (:mod:`repro.obs.channel`).
+the installed ones (:mod:`repro.obs.channel`).  A dispatch lost to a
+worker crash or timeout leaves a zero-length ``batch.worker_lost``
+span under ``batch.relations``.
 """
 
 from __future__ import annotations
@@ -1096,7 +1098,7 @@ def _supervise_pool(
                 "repro_worker_restart_total",
                 "Parallel batch chunk dispatches lost to worker failures.",
             ).inc(reason=reason)
-        obs.emit("batch.worker_lost", "warning", count=1, reason=reason)
+        obs.record("batch.worker_lost", 0.0, {"count": 1, "reason": reason})
         if chunk.attempt + 1 < policy.max_attempts:
             chunk.attempt += 1
             stats["chunk_retries"] += 1

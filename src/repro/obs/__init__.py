@@ -1,6 +1,6 @@
 """``repro.obs`` — zero-dependency observability for the stack.
 
-The observability subsystem has four sinks plus the instrumentation
+The observability subsystem has three sinks plus the instrumentation
 that feeds them:
 
 * **span tracer** (:mod:`repro.obs.trace`) — nested, timed spans with
@@ -14,18 +14,18 @@ that feeds them:
   thread snapshotting every thread's stack (rate via
   ``REPRO_PROFILE_HZ``), counting folded flamegraph-ready stacks
   attributed to the enclosing span, mergeable across workers;
-* **event log** (:mod:`repro.obs.events`) — discrete, severity-graded
-  moments correlated with the open span, JSONL export, and slow-op
-  budgets (``REPRO_SLOW_OP_BUDGET`` / ``REPRO_SLOW_OP_BUDGETS``) that
-  auto-flag over-budget spans;
 * **instrumentation** — the engine layer, batch executor, repair
   pipeline, consistency solver, query evaluator and relation store all
   report into whichever sinks are *installed* (:func:`install_tracer`
-  / :func:`install_metrics` / :func:`install_profiler` /
-  :func:`install_events`); nothing is recorded while none is;
+  / :func:`install_metrics` / :func:`install_profiler`); nothing is
+  recorded while none is;
 * **the worker channel** (:mod:`repro.obs.channel`) — :func:`sink_spec`,
   :class:`fresh_sinks` and :func:`graft` carry the installed sinks
-  across a process-pool boundary and back.
+  across a process-pool boundary and back;
+* **reports** (:mod:`repro.obs.report`) — views of a finished trace:
+  the aggregated span tree, hot paths, per-span quantiles, and
+  :func:`event_records`, its moments (a lost pool worker, a span over
+  its ``REPRO_SLOW_OP_BUDGET`` / ``REPRO_SLOW_OP_BUDGETS`` budget).
 
 Quick start::
 
@@ -39,23 +39,14 @@ Quick start::
 
 On the CLI the same wiring is one flag away: every ``cardirect``
 subcommand accepts ``--trace``, ``--metrics``, ``--profile`` and
-``--events`` FILE options; ``cardirect profile`` prints the aggregated
+``--events`` FILE options (``--events`` writes :func:`event_records`
+of the run's trace); ``cardirect profile`` prints the aggregated
 span tree with hot-path percentages and per-span quantiles, and
 ``cardirect profile --sample`` ranks hot functions from a folded
 profile.  See ``docs/OBSERVABILITY.md``.
 """
 
 from repro.obs.channel import fresh_sinks, graft, sink_spec
-from repro.obs.events import (
-    Event,
-    EventLog,
-    current_events,
-    emit,
-    emitting,
-    install_events,
-    uninstall_events,
-)
-from repro.obs.events import load_jsonl as load_events_jsonl
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -79,6 +70,7 @@ from repro.obs.profiler import (
 from repro.obs.report import (
     SpanGroup,
     aggregate_tree,
+    event_records,
     hot_paths,
     render_hot_paths,
     render_span_quantiles,
@@ -100,8 +92,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
-    "Event",
-    "EventLog",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -113,20 +103,16 @@ __all__ = [
     "Tracer",
     "aggregate_tree",
     "collecting",
-    "current_events",
     "current_metrics",
     "current_profiler",
     "current_tracer",
-    "emit",
-    "emitting",
+    "event_records",
     "fresh_sinks",
     "graft",
     "hot_paths",
-    "install_events",
     "install_metrics",
     "install_profiler",
     "install_tracer",
-    "load_events_jsonl",
     "load_jsonl",
     "parse_folded",
     "profiling",
@@ -139,7 +125,6 @@ __all__ = [
     "span",
     "span_quantiles",
     "tracing",
-    "uninstall_events",
     "uninstall_metrics",
     "uninstall_profiler",
     "uninstall_tracer",

@@ -15,14 +15,34 @@ and :func:`render_span_tree` prints it::
 **self time** (time not attributed to child spans), the quickest answer
 to "where did the time actually go".  Both power the CLI's
 ``cardirect profile`` subcommand.
+
+:func:`event_records` reads the same trace as a list of moments — the
+records ``cardirect --events FILE`` writes: a ``slow_op`` warning per
+span over its budget, and a ``batch.worker_lost`` warning per lost
+pool dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import json
+import os
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import EXPORT_QUANTILES, QuantileReservoir
 from repro.obs.trace import Span
+
+#: Environment variable: default slow-op budget in seconds.
+ENV_SLOW_OP_BUDGET = "REPRO_SLOW_OP_BUDGET"
+
+#: Environment variable: JSON object of span-name → budget seconds.
+ENV_SLOW_OP_BUDGETS = "REPRO_SLOW_OP_BUDGETS"
+
+#: The record name of a span over its budget.
+SLOW_OP = "slow_op"
+
+#: The zero-length marker span ``batch_relations`` records for each pool
+#: dispatch lost to a worker crash or timeout.
+WORKER_LOST = "batch.worker_lost"
 
 
 class SpanGroup:
@@ -211,3 +231,73 @@ def render_span_quantiles(
             f"{p99:>8.3f}ms"
         )
     return "\n".join(lines)
+
+
+def budgets_from_env() -> Tuple[Dict[str, float], Optional[float]]:
+    """``(per-span budgets, default budget)`` from the environment.
+
+    Malformed values are ignored — the env knobs tune diagnostics and
+    must never be able to crash the run they would have observed.
+    """
+    default: Optional[float] = None
+    raw_default = os.environ.get(ENV_SLOW_OP_BUDGET)
+    if raw_default:
+        try:
+            value = float(raw_default)
+        except ValueError:
+            value = -1.0
+        if value >= 0.0:
+            default = value
+    budgets: Dict[str, float] = {}
+    raw_budgets = os.environ.get(ENV_SLOW_OP_BUDGETS)
+    if raw_budgets:
+        try:
+            parsed = json.loads(raw_budgets)
+        except json.JSONDecodeError:
+            parsed = None
+        if isinstance(parsed, dict):
+            for name, seconds in parsed.items():
+                try:
+                    budgets[str(name)] = float(seconds)
+                except (TypeError, ValueError):
+                    continue
+    return budgets, default
+
+
+def event_records(spans: Sequence[Span]) -> Iterator[Dict[str, object]]:
+    """The trace's moments as JSON-able records, in trace order.
+
+    A ``batch.worker_lost`` marker span yields a record with its
+    attributes, linked to the span that was open when it was recorded.
+    Every other finished span that ran longer than its budget
+    (:func:`budgets_from_env`: a per-name budget, else the default)
+    yields a ``slow_op`` record linked to that span.  Each record keeps
+    its span's worker tag.
+    """
+    budgets, default = budgets_from_env()
+    for span in spans:
+        if span.name == WORKER_LOST:
+            name, link, stamp = WORKER_LOST, span.parent_id, span.start
+            attributes = dict(span.attributes)
+        else:
+            budget = budgets.get(span.name, default)
+            if budget is None or span.seconds is None or span.seconds <= budget:
+                continue
+            name, link, stamp = SLOW_OP, span.span_id, span.start + span.seconds
+            attributes = {
+                "span": span.name,
+                "seconds": round(span.seconds, 6),
+                "budget": budget,
+            }
+        record: Dict[str, object] = {
+            "name": name,
+            "severity": "warning",
+            "time": stamp,
+        }
+        if link is not None:
+            record["span"] = link
+        if span.worker is not None:
+            record["worker"] = span.worker
+        if attributes:
+            record["attrs"] = attributes
+        yield record

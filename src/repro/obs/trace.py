@@ -31,7 +31,7 @@ import json
 import threading
 import time
 from contextvars import ContextVar
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 #: Attribute values are kept JSON-scalar so every span serialises.
 AttributeValue = Union[str, int, float, bool, None]
@@ -41,11 +41,6 @@ AttributeValue = Union[str, int, float, bool, None]
 #: thread to attribute each sample to the sampled thread's innermost
 #: span — contextvars cannot be read across threads, a plain dict can.
 _THREAD_SPAN_STACKS: Dict[int, List[str]] = {}
-
-#: Observer invoked with every *finished* span (live or post-hoc) —
-#: how the event log's slow-op watcher sees span durations without the
-#: tracer importing :mod:`repro.obs.events`.  ``None`` costs one check.
-_SPAN_OBSERVER: Optional[Callable[["Span"], None]] = None
 
 
 def thread_span_name(thread_id: int) -> Optional[str]:
@@ -62,14 +57,6 @@ def thread_span_name(thread_id: int) -> Optional[str]:
         except IndexError:  # pragma: no cover - racing pop
             return None
     return None
-
-
-def set_span_observer(
-    observer: Optional[Callable[["Span"], None]],
-) -> None:
-    """Install (or clear, with ``None``) the finished-span observer."""
-    global _SPAN_OBSERVER
-    _SPAN_OBSERVER = observer
 
 
 class Span:
@@ -238,9 +225,6 @@ class Tracer:
         )
         with self._lock:
             self._spans.append(span)
-        observer = _SPAN_OBSERVER
-        if observer is not None:
-            observer(span)
         return span
 
     def current_id(self) -> Optional[str]:
@@ -260,42 +244,24 @@ class Tracer:
         """The finished spans as plain dicts (picklable, JSON-able)."""
         return [span.as_dict() for span in self.spans]
 
-    def ingest(
-        self,
-        payload: Iterable[Dict[str, object]],
-        *,
-        parent_id: Optional[str] = None,
-        worker: Optional[str] = None,
-        id_map: Optional[Dict[str, str]] = None,
-    ) -> List[Span]:
+    def ingest(self, payload: Iterable[Dict[str, object]]) -> List[Span]:
         """Graft another tracer's payload into this trace.
 
         Span ids are re-allocated from this tracer's counter (payloads
         from several workers would otherwise collide) and root spans of
         the payload — those whose parent is absent from the payload —
-        are re-parented under ``parent_id`` (default: the current span).
-        Pass a dict as ``id_map`` to receive the old-id → new-id
-        mapping, e.g. for remapping the span links of a worker's event
-        log (:meth:`repro.obs.events.EventLog.ingest`).
+        are re-parented under the current span.  Each span keeps the
+        worker tag its own tracer gave it.
         """
-        if parent_id is None:
-            parent_id = self.current_id()
+        parent_id = self.current_id()
         spans = [Span.from_dict(record) for record in payload]
-        mapping: Dict[str, str] = {}
-        for span in spans:
-            mapping[span.span_id] = self._allocate_id()
-        if id_map is not None:
-            id_map.update(mapping)
-        grafted: List[Span] = []
+        mapping = {span.span_id: self._allocate_id() for span in spans}
         for span in spans:
             span.span_id = mapping[span.span_id]
             span.parent_id = mapping.get(span.parent_id, parent_id)
-            if worker is not None and span.worker is None:
-                span.worker = worker
-            grafted.append(span)
         with self._lock:
-            self._spans.extend(grafted)
-        return grafted
+            self._spans.extend(spans)
+        return spans
 
     def to_jsonl(self) -> str:
         """Every finished span, one JSON object per line."""
@@ -341,9 +307,6 @@ class Tracer:
                 del _THREAD_SPAN_STACKS[thread_id]
         with self._lock:
             self._spans.append(span)
-        observer = _SPAN_OBSERVER
-        if observer is not None:
-            observer(span)
 
 
 def load_jsonl(path: str) -> List[Span]:

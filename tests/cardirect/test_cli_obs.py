@@ -210,15 +210,40 @@ class TestEventsOption:
             "--events", str(out),
             "--trace", str(tmp_path / "t.jsonl"),
         ]) == 0
-        from repro import obs
-
-        events = obs.load_events_jsonl(str(out))
-        slow = [e for e in events if e.name == "slow_op"]
+        events = _load_jsonl(out)
+        slow = [e for e in events if e["name"] == "slow_op"]
         assert slow, "zero budget must flag every span as slow"
-        assert all(e.severity == "warning" for e in slow)
+        assert all(e["severity"] == "warning" for e in slow)
+
+    def test_events_without_trace_match_traced_run(
+        self, demo_xml, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SLOW_OP_BUDGET", "0")
+        alone, traced = tmp_path / "alone.jsonl", tmp_path / "traced.jsonl"
+        assert main(["relations", str(demo_xml), "--events", str(alone)]) == 0
+        assert main([
+            "relations", str(demo_xml),
+            "--events", str(traced),
+            "--trace", str(tmp_path / "t.jsonl"),
+        ]) == 0
+
+        def measured_aside(path):
+            records = _load_jsonl(path)
+            for record in records:
+                del record["time"]
+                del record["attrs"]["seconds"]
+            return records
+
+        slow = [e for e in measured_aside(alone) if e["name"] == "slow_op"]
+        assert slow, "--events alone wrote no slow-op record"
+        assert measured_aside(alone) == measured_aside(traced)
 
     def test_events_uninstalled_afterwards(self, demo_xml, tmp_path):
-        from repro.obs import current_events
+        from repro.obs import current_tracer
 
         main(["relations", str(demo_xml), "--events", str(tmp_path / "e")])
-        assert current_events() is None
+        assert current_tracer() is None
+
+
+def _load_jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines() if line]

@@ -7,15 +7,11 @@ import pickle
 import pytest
 
 from repro.obs import (
-    EventLog,
     SamplingProfiler,
     collecting,
-    current_events,
     current_metrics,
     current_profiler,
     current_tracer,
-    emit,
-    emitting,
     fresh_sinks,
     graft,
     profiling,
@@ -23,7 +19,6 @@ from repro.obs import (
     span,
     tracing,
 )
-from repro.obs.events import SLOW_OP
 from repro.obs.profiler import ENV_PROFILE_HZ
 
 
@@ -39,7 +34,7 @@ def _worker_chunk(spec):
     with fresh_sinks(spec, worker="worker-7") as sinks:
         with span("worker.outer"):
             with span("worker.inner"):
-                emit("worker.moment", "info", step=1)
+                pass
         current_metrics().counter("repro_test_total").inc(3, site="a")
         current_metrics().histogram("repro_test_seconds").observe(1.5)
         current_profiler().merge({"samples": 2, "counts": {"s;a": 2, "s;b": 1}})
@@ -47,22 +42,21 @@ def _worker_chunk(spec):
 
 
 class TestRoundTrip:
-    def test_all_four_sinks_graft_back(self):
-        parent_log = EventLog(slow_op_budgets={"worker.inner": 0.0})
+    def test_all_three_sinks_graft_back(self):
         with tracing() as tracer, collecting() as registry, profiling(
             SamplingProfiler(hz=1 / 86400)
-        ) as profiler, emitting(parent_log) as log:
+        ) as profiler:
             registry.counter("repro_test_total").inc(2, site="a")
             registry.histogram("repro_test_seconds").observe(0.5)
             profiler.merge({"samples": 1, "counts": {"s;a": 1}})
             spec = sink_spec()
+            assert spec == ("trace", "metrics", "profile")
             with tracer.span("parent.open") as open_span:
                 payload = _worker_chunk(spec)
                 # Leaving the worker context put the parent's sinks back.
                 assert current_tracer() is tracer
                 assert current_metrics() is registry
                 assert current_profiler() is profiler
-                assert current_events() is log
                 graft(payload)
 
         by_name = {s.name: s for s in tracer.spans}
@@ -80,24 +74,6 @@ class TestRoundTrip:
         # Profile: counts and samples add.
         assert profiler.counts() == {"s;a": 3, "s;b": 1}
         assert profiler.samples == 3
-        # Events re-link to the grafted span ids; the worker's log
-        # watched with the parent's slow-op budgets.
-        moment = next(e for e in log.events if e.name == "worker.moment")
-        assert moment.span_id == inner.span_id
-        assert moment.worker == "worker-7"
-        slow = next(e for e in log.events if e.name == SLOW_OP)
-        assert slow.attributes["span"] == "worker.inner"
-        assert slow.span_id == inner.span_id
-
-    def test_events_lose_their_links_without_a_trace(self):
-        with fresh_sinks({"trace": {}, "events": {}}, worker="worker-1") as sinks:
-            with span("worker.op"):
-                emit("worker.moment")
-        with emitting() as log:
-            graft(sinks.payload())
-        (event,) = log.events
-        assert event.span_id is None
-        assert event.worker == "worker-1"
 
     def test_nothing_installed_sends_nothing(self):
         assert sink_spec() is None

@@ -1,67 +1,29 @@
-"""Tests for the structured event log (repro.obs.events)."""
+"""Tests for the events view of a trace (repro.obs.report.event_records):
+the slow-op budgets and the records ``cardirect --events`` writes."""
 
 import json
 
 import pytest
 
-from repro.obs.events import (
+from repro.obs.report import (
     ENV_SLOW_OP_BUDGET,
     ENV_SLOW_OP_BUDGETS,
-    SEVERITIES,
     SLOW_OP,
-    Event,
-    EventLog,
+    WORKER_LOST,
     budgets_from_env,
-    current_events,
-    emit,
-    emitting,
-    install_events,
-    load_jsonl,
-    uninstall_events,
+    event_records,
 )
-from repro.obs.trace import tracing, uninstall_tracer
+from repro.obs.trace import Span, Tracer, record, tracing
 
 
 @pytest.fixture(autouse=True)
-def _clean_globals(monkeypatch):
+def _no_budgets(monkeypatch):
     monkeypatch.delenv(ENV_SLOW_OP_BUDGET, raising=False)
     monkeypatch.delenv(ENV_SLOW_OP_BUDGETS, raising=False)
-    uninstall_events()
-    uninstall_tracer()
-    yield
-    uninstall_events()
-    uninstall_tracer()
 
 
-class TestEvent:
-    def test_unknown_severity_rejected(self):
-        with pytest.raises(ValueError, match="unknown severity"):
-            Event("x", "catastrophic")
-
-    def test_dict_roundtrip(self):
-        event = Event(
-            "plane.build",
-            "warning",
-            time_stamp=12.5,
-            span_id="s1",
-            worker="worker-0",
-            attributes={"regions": 4},
-        )
-        clone = Event.from_dict(event.as_dict())
-        assert clone.name == "plane.build"
-        assert clone.severity == "warning"
-        assert clone.time == 12.5
-        assert clone.span_id == "s1"
-        assert clone.worker == "worker-0"
-        assert clone.attributes == {"regions": 4}
-
-    def test_from_dict_tolerates_unknown_severity(self):
-        event = Event.from_dict({"name": "x", "severity": "whatever"})
-        assert event.severity == "info"
-
-    def test_compact_wire_form(self):
-        record = Event("x", time_stamp=1.0).as_dict()
-        assert set(record) == {"name", "severity", "time"}
+def _span(name, seconds, span_id="1"):
+    return Span(name, span_id, None, start=10.0, seconds=seconds)
 
 
 class TestBudgetsFromEnv:
@@ -95,176 +57,93 @@ class TestBudgetsFromEnv:
         assert budgets_from_env()[0] == {"good": 1.0}
 
 
-class TestEventLog:
-    def test_emit_records_in_order(self):
-        log = EventLog()
-        log.emit("first")
-        log.emit("second", "error", code=7)
-        names = [event.name for event in log.events]
-        assert names == ["first", "second"]
-        assert log.events[1].attributes == {"code": 7}
-
-    def test_emit_correlates_with_open_span(self):
-        log = EventLog()
-        with tracing() as tracer:
-            with tracer.span("outer"):
-                log.emit("inside")
-            log.emit("outside")
-        inside, outside = log.events
-        assert inside.span_id is not None
-        assert outside.span_id is None
-
-    def test_name_and_severity_are_positional_only(self):
-        # Attribute keys may be called "name" or "severity" without
-        # colliding with the parameters (plane.build sends name=...).
-        log = EventLog()
-        event = log.emit("x", "info", name="segment", severity=3)
-        assert event.attributes == {"name": "segment", "severity": 3}
-
-    def test_by_severity_floor(self):
-        log = EventLog()
-        for severity in SEVERITIES:
-            log.emit("e", severity)
-        assert [e.severity for e in log.by_severity("warning")] == [
-            "warning",
-            "error",
-        ]
-        with pytest.raises(ValueError, match="unknown severity"):
-            log.by_severity("loud")
-
-    def test_worker_tag_applied(self):
-        log = EventLog(worker="worker-3")
-        assert log.emit("x").worker == "worker-3"
-
-
 class TestSlowOpWatch:
-    def test_over_budget_emits_warning(self):
-        log = EventLog(default_slow_op_budget=0.5)
-        log.observe_span("batch.chunk", 0.75, "s9")
-        (event,) = log.events
-        assert event.name == SLOW_OP
-        assert event.severity == "warning"
-        assert event.span_id == "s9"
-        assert event.attributes["span"] == "batch.chunk"
-        assert event.attributes["budget"] == 0.5
+    def test_over_budget_emits_warning(self, monkeypatch):
+        monkeypatch.setenv(ENV_SLOW_OP_BUDGET, "0.5")
+        (event,) = event_records([_span("batch.chunk", 0.75, "s9")])
+        assert event == {
+            "name": SLOW_OP,
+            "severity": "warning",
+            "time": 10.75,
+            "span": "s9",
+            "attrs": {"span": "batch.chunk", "seconds": 0.75, "budget": 0.5},
+        }
 
-    def test_under_budget_is_silent(self):
-        log = EventLog(default_slow_op_budget=0.5)
-        log.observe_span("batch.chunk", 0.25, None)
-        assert log.events == []
+    def test_under_budget_is_silent(self, monkeypatch):
+        monkeypatch.setenv(ENV_SLOW_OP_BUDGET, "0.5")
+        assert list(event_records([_span("batch.chunk", 0.25)])) == []
 
-    def test_per_span_budget_overrides_default(self):
-        log = EventLog(
-            slow_op_budgets={"slow.allowed": 10.0},
-            default_slow_op_budget=0.1,
+    def test_exactly_at_budget_is_not_slow(self, monkeypatch):
+        monkeypatch.setenv(ENV_SLOW_OP_BUDGETS, json.dumps({"op": 0.5}))
+        assert list(event_records([_span("op", 0.5)])) == []
+
+    def test_per_span_budget_overrides_default(self, monkeypatch):
+        monkeypatch.setenv(ENV_SLOW_OP_BUDGET, "0.1")
+        monkeypatch.setenv(
+            ENV_SLOW_OP_BUDGETS, json.dumps({"slow.allowed": 10.0})
         )
-        log.observe_span("slow.allowed", 5.0, None)
-        log.observe_span("other", 5.0, None)
-        assert len(log.events) == 1
-        assert log.events[0].attributes["span"] == "other"
+        records = event_records(
+            [_span("slow.allowed", 5.0, "1"), _span("other", 5.0, "2")]
+        )
+        assert [r["attrs"]["span"] for r in records] == ["other"]
 
     def test_no_budget_no_watch(self):
-        log = EventLog(slow_op_budgets={})
-        log.observe_span("anything", 1e9, None)
-        assert log.events == []
+        assert list(event_records([_span("anything", 1e9)])) == []
 
-    def test_installed_log_watches_finished_spans(self):
-        with emitting(EventLog(default_slow_op_budget=0.0)) as log:
-            with tracing() as tracer:
-                with tracer.span("watched.op"):
+    def test_finished_spans_in_trace_order(self, monkeypatch):
+        monkeypatch.setenv(ENV_SLOW_OP_BUDGET, "0")
+        with tracing() as tracer:
+            with tracer.span("outer"):
+                with tracer.span("inner"):
                     pass
-        slow = [e for e in log.events if e.name == SLOW_OP]
-        assert slow and slow[0].attributes["span"] == "watched.op"
-
-    def test_budget_spec_roundtrip(self):
-        parent = EventLog(
-            slow_op_budgets={"a": 1.0}, default_slow_op_budget=2.0
-        )
-        spec = parent.budget_spec()
-        child = EventLog(
-            slow_op_budgets=spec["budgets"],
-            default_slow_op_budget=spec["default"],
-        )
-        child.observe_span("a", 1.5, None)
-        child.observe_span("b", 1.5, None)
-        assert [e.attributes["span"] for e in child.events] == ["a"]
-
-
-class TestIngest:
-    def test_worker_tag_and_span_remap(self):
-        parent = EventLog()
-        payload = [
-            {"name": "x", "severity": "info", "time": 1.0, "span": "old1"},
-            {"name": "y", "severity": "info", "time": 2.0, "span": "gone"},
-            {"name": "z", "severity": "info", "time": 3.0},
+        records = list(event_records(tracer.spans))
+        assert [r["attrs"]["span"] for r in records] == ["inner", "outer"]
+        assert [r["span"] for r in records] == [
+            s.span_id for s in tracer.spans
         ]
-        grafted = parent.ingest(
-            payload, worker="worker-1", span_map={"old1": "new1"}
-        )
-        assert [e.worker for e in grafted] == ["worker-1"] * 3
-        assert grafted[0].span_id == "new1"
-        # Unmapped ids are dropped, not left dangling.
-        assert grafted[1].span_id is None
-        assert grafted[2].span_id is None
-
-    def test_ingest_without_span_map_drops_links(self):
-        parent = EventLog()
-        (event,) = parent.ingest(
-            [{"name": "x", "severity": "info", "time": 1.0, "span": "s"}]
-        )
-        assert event.span_id is None
-
-    def test_existing_worker_tag_kept(self):
-        parent = EventLog()
-        (event,) = parent.ingest(
-            [{"name": "x", "severity": "info", "time": 0.0,
-              "worker": "worker-7"}],
-            worker="worker-1",
-        )
-        assert event.worker == "worker-7"
 
 
-class TestJsonl:
-    def test_roundtrip(self, tmp_path):
-        log = EventLog(worker="w")
-        log.emit("a", "debug", detail=1)
-        log.emit("b", "error")
-        path = tmp_path / "events.jsonl"
-        log.export_jsonl(str(path))
-        loaded = load_jsonl(str(path))
-        assert [(e.name, e.severity) for e in loaded] == [
-            ("a", "debug"),
-            ("b", "error"),
+class TestWorkerLost:
+    def test_marker_links_the_open_span(self):
+        with tracing() as tracer:
+            with tracer.span("batch.relations") as batch:
+                record(WORKER_LOST, 0.0, {"count": 1, "reason": "timeout"})
+        (event,) = event_records(tracer.spans)
+        assert event["name"] == WORKER_LOST
+        assert event["severity"] == "warning"
+        assert event["span"] == batch.span_id
+        assert event["attrs"] == {"count": 1, "reason": "timeout"}
+
+    def test_marker_outside_any_span_has_no_link(self):
+        with tracing() as tracer:
+            record(WORKER_LOST, 0.0)
+        (event,) = event_records(tracer.spans)
+        assert set(event) == {"name", "severity", "time"}
+
+    def test_marker_span_is_never_a_slow_op(self, monkeypatch):
+        monkeypatch.setenv(ENV_SLOW_OP_BUDGET, "0")
+        monkeypatch.setenv(ENV_SLOW_OP_BUDGETS, json.dumps({WORKER_LOST: -1}))
+        with tracing() as tracer:
+            record(WORKER_LOST, 0.0, {"count": 1, "reason": "broken_pool"})
+        assert [r["name"] for r in event_records(tracer.spans)] == [WORKER_LOST]
+
+
+class TestGraftedRecords:
+    def test_worker_record_keeps_tag_and_resolving_link(self, monkeypatch):
+        monkeypatch.setenv(ENV_SLOW_OP_BUDGET, "0")
+        worker = Tracer(worker="worker-3")
+        with worker.span("batch.chunk"):
+            worker.record("engine.sweep.relation", 0.01)
+        parent = Tracer()
+        with parent.span("batch.relations"):
+            parent.ingest(worker.to_payload())
+        by_id = {s.span_id: s for s in parent.spans}
+        grafted = [r for r in event_records(parent.spans) if "worker" in r]
+        assert [r["attrs"]["span"] for r in grafted] == [
+            "engine.sweep.relation",
+            "batch.chunk",
         ]
-        assert loaded[0].attributes == {"detail": 1}
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"name": "a", "severity": "info", "time": 0}\n\n')
-        assert len(load_jsonl(str(path))) == 1
-
-
-class TestGlobalInstall:
-    def test_emit_is_noop_without_log(self):
-        assert current_events() is None
-        assert emit("nobody.listening") is None
-
-    def test_install_current_uninstall(self):
-        log = install_events()
-        try:
-            assert current_events() is log
-            assert emit("heard") is not None
-        finally:
-            returned = uninstall_events()
-        assert returned is log
-        assert [e.name for e in log.events] == ["heard"]
-        assert current_events() is None
-
-    def test_emitting_scope_restores_previous(self):
-        outer = install_events()
-        with emitting() as inner:
-            assert current_events() is inner
-            emit("inner.event")
-        assert current_events() is outer
-        assert [e.name for e in inner.events] == ["inner.event"]
-        uninstall_events()
+        for event in grafted:
+            span = by_id[event["span"]]
+            assert span.name == event["attrs"]["span"]
+            assert span.worker == event["worker"] == "worker-3"

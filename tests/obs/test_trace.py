@@ -76,12 +76,12 @@ class TestTracer:
         assert outer.worker == "w0"
 
     def test_ingest_reallocates_ids_and_reparents_roots(self):
-        worker = Tracer()
+        worker = Tracer(worker="w3")
         with worker.span("chunk"):
             worker.record("op", 0.1)
         parent = Tracer()
         with parent.span("batch") as batch:
-            grafted = parent.ingest(worker.to_payload(), worker="w3")
+            grafted = parent.ingest(worker.to_payload())
         by_name = {s.name: s for s in grafted}
         # the payload root hangs under the parent's open span ...
         assert by_name["chunk"].parent_id == batch.span_id
@@ -90,20 +90,22 @@ class TestTracer:
         # ... and ids never collide with the parent's own
         ids = [s.span_id for s in parent.spans]
         assert len(ids) == len(set(ids))
+        # ... and each span keeps the tag its own tracer gave it
         assert all(s.worker == "w3" for s in grafted)
 
     def test_ingest_two_workers_do_not_collide(self):
         payloads = []
-        for _ in range(2):
-            worker = Tracer()
+        for index in range(2):
+            worker = Tracer(worker=f"w{index}")
             with worker.span("chunk"):
                 pass
             payloads.append(worker.to_payload())
         parent = Tracer()
-        for index, payload in enumerate(payloads):
-            parent.ingest(payload, worker=f"w{index}")
+        for payload in payloads:
+            parent.ingest(payload)
         ids = [s.span_id for s in parent.spans]
         assert len(ids) == len(set(ids)) == 2
+        assert [s.worker for s in parent.spans] == ["w0", "w1"]
 
 
 class TestGlobalHelpers:
