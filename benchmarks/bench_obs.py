@@ -267,7 +267,8 @@ def run(
             "profiled_vs_disabled": PROFILED_BUDGET,
         },
         "baseline_check": baseline_record,
-        "artifacts": {name: str(p) for name, p in artifacts.items()},
+        # Names relative to the JSON file's directory: written beside it.
+        "artifacts": {name: p.name for name, p in artifacts.items()},
     }
     path.write_text(json.dumps(result, indent=2) + "\n")
     if verbose:

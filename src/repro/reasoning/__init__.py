@@ -13,14 +13,16 @@ studied in the authors' companion papers [20, 21, 22]:
   of a network of basic cardinal direction constraints over ``REG*``,
   with witness regions returned on success.
 
-All three are built on one enumeration engine
-(:mod:`repro.reasoning.orderings`): because regions in ``REG*`` are
-arbitrary finite unions of full-dimensional pieces, a relation
-configuration is realisable exactly when a *qualitative placement* of the
-participating bounding boxes admits it, and the finitely many placements
-can be enumerated with concrete integer coordinates.  Every positive
-answer is therefore constructive, and the test suite cross-validates the
-symbolic results against Compute-CDR on generated geometry.
+All three rest on one realisability lemma: because regions in ``REG*``
+are arbitrary finite unions of full-dimensional pieces, a relation
+configuration is realisable exactly when a *qualitative placement* of
+the participating bounding boxes admits it.  Inverse and composition
+read one table of the 169 placements of a box against a grid
+(:mod:`repro.reasoning.orderings`, integer coordinates, built once per
+process); the consistency checker compiles the same lemma into order
+constraints over box endpoints.  Every positive answer is constructive,
+and the test suite cross-validates the symbolic results against
+Compute-CDR on generated geometry.
 """
 
 from repro.reasoning.composition import compose

@@ -6,11 +6,11 @@ the set of basic relations ``R3`` for which witness regions
 ``a, b, c ∈ REG*`` exist with ``a R1 b``, ``b R2 c`` and ``a R3 c``.
 
 The enumeration fixes ``mbb(c)``'s grid at the concrete (0, 10) lines and
-runs over the 169 qualitative placements of ``mbb(b)`` against it.  A
-placement is admissible when ``R2`` is realisable by ``b`` there.  Given
-an admissible placement, region ``a`` must put material into every tile
-``t ∈ R1`` of *b's* grid, and each such tile overlaps a fixed set
-``cmap(t)`` of tiles of *c's* grid; because ``REG*`` material is freely
+reads the rows of the placement table (:mod:`repro.reasoning.orderings`)
+whose placement of ``mbb(b)`` admits ``R2``.  In such a placement,
+region ``a`` must put material into every tile ``t ∈ R1`` of *b's* grid,
+and each such tile overlaps a fixed set ``cmap(t)`` of tiles of *c's*
+grid (the row's cell map); because ``REG*`` material is freely
 divisible, the realisable relations ``a R3 c`` are exactly the subsets of
 ``∪ cmap(t)`` that intersect every ``cmap(t)``.  (Region ``a``'s own
 bounding box constrains nothing else, and regions may overlap, so no
@@ -24,44 +24,9 @@ relation (all 511 basic relations).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
 
 from repro.core.relation import CardinalDirection, DisjunctiveCD
-from repro.core.tiles import Tile
-from repro.reasoning.orderings import (
-    GRID_HI,
-    GRID_LO,
-    BoxPlacement,
-    band,
-    box_placements,
-    relation_realizable_for_box,
-)
-
-
-@lru_cache(maxsize=None)
-def _cell_map(placement: BoxPlacement) -> Tuple[int, ...]:
-    """For each tile of b's grid (indexed by ``int(tile)``), the bitmask
-    of c-grid tiles it overlaps.
-
-    b's grid lines are the placed box endpoints; c's grid is (0, 10).
-    Overlap must be full-dimensional on both axes.  A pure function of
-    the 169 fixed placements, so its cache outlives
-    ``compose.cache_clear()``.
-    """
-    b_grid_x = (placement.x.p1, placement.x.p2)
-    b_grid_y = (placement.y.p1, placement.y.p2)
-    mapping = []
-    for b_tile in Tile:
-        band_bx = band(b_grid_x[0], b_grid_x[1], b_tile.column)
-        band_by = band(b_grid_y[0], b_grid_y[1], b_tile.row)
-        mask = 0
-        for c_tile in Tile:
-            band_cx = band(GRID_LO, GRID_HI, c_tile.column)
-            band_cy = band(GRID_LO, GRID_HI, c_tile.row)
-            if band_bx.overlaps_open(band_cx) and band_by.overlaps_open(band_cy):
-                mask |= 1 << int(c_tile)
-        mapping.append(mask)
-    return tuple(mapping)
+from repro.reasoning.orderings import hitting_sets, placement_table
 
 
 @lru_cache(maxsize=None)
@@ -73,21 +38,14 @@ def compose(r1: CardinalDirection, r2: CardinalDirection) -> DisjunctiveCD:
     '{S}'
     """
     members = 0
-    for placement in box_placements():
-        if not relation_realizable_for_box(r2, placement):
+    for row in placement_table():
+        if not row.admits >> r2.mask & 1:
             continue
-        cmap = _cell_map(placement)
-        required = [cmap[t] for t in r1.tiles]
+        required = [row.cell_map[t] for t in r1.tiles]
         allowed = 0
         for mask in required:
             allowed |= mask
-        # Every submask of `allowed` hitting each required mask is a
-        # member's tile mask (the standard submask walk).
-        submask = allowed
-        while submask:
-            if all(submask & mask for mask in required):
-                members |= 1 << submask
-            submask = (submask - 1) & allowed
+        members |= hitting_sets(allowed, required)
     return DisjunctiveCD.from_mask(members)
 
 

@@ -6,29 +6,21 @@ The inverse of a basic relation ``R`` is in general *disjunctive*:
 example: when ``a S b``, region ``b`` may be ``N``, ``NW:N``, ``N:NE``,
 ``NW:N:NE`` — or, for a disconnected ``b``, ``NW:NE`` — of ``a``.
 
-Computation enumerates the 169 qualitative placements of ``mbb(a)``
-against ``mbb(b)``'s grid.  For each placement where ``R`` is realisable
-by ``a``, every tile-occupancy option of ``b`` against ``a``'s grid is a
-member of the inverse (regions are free to overlap, so the two material
-choices are independent given the boxes).  The enumeration is sound and
-complete for ``REG*`` — see :mod:`repro.reasoning.orderings` — and the
-test suite cross-checks it against Compute-CDR on random geometry.
+Computation reads the placement table of :mod:`repro.reasoning.orderings`:
+``inv(R)`` is the union of the ``converse`` masks (the relations of
+``b``, the reference square, against ``a``'s grid) of the placements of
+``mbb(a)`` that admit ``R`` (regions are free to overlap, so the two
+material choices are independent given the boxes).  The table is sound
+and complete for ``REG*``, and the test suite cross-checks it against
+Compute-CDR on random geometry.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Set
 
 from repro.core.relation import CardinalDirection, DisjunctiveCD
-from repro.reasoning.orderings import (
-    GRID_HI,
-    GRID_LO,
-    Interval,
-    box_placements,
-    occupancy_options,
-    relation_realizable_for_box,
-)
+from repro.reasoning.orderings import placement_table
 
 
 @lru_cache(maxsize=None)
@@ -40,20 +32,11 @@ def inverse(relation: CardinalDirection) -> DisjunctiveCD:
     >>> sorted(str(s) for s in inv_s)
     ['N', 'N:NE', 'NW:N', 'NW:N:NE', 'NW:NE']
     """
-    members: Set[CardinalDirection] = set()
-    reference_box_x = Interval(GRID_LO, GRID_HI)
-    reference_box_y = Interval(GRID_LO, GRID_HI)
-    for placement in box_placements():
-        if not relation_realizable_for_box(relation, placement):
-            continue
-        options = occupancy_options(
-            reference_box_x,
-            reference_box_y,
-            (placement.x.p1, placement.x.p2),
-            (placement.y.p1, placement.y.p2),
-        )
-        members.update(CardinalDirection(tiles) for tiles in options)
-    return DisjunctiveCD(members)
+    members = 0
+    for row in placement_table():
+        if row.admits >> relation.mask & 1:
+            members |= row.converse
+    return DisjunctiveCD.from_mask(members)
 
 
 @lru_cache(maxsize=None)

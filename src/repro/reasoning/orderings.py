@@ -1,4 +1,4 @@
-"""The qualitative-placement enumeration engine.
+"""The qualitative-placement table.
 
 Everything the reasoning layer needs reduces to questions about *one box
 against one grid*.  Fix a reference grid with lines ``g_lo < g_hi`` per
@@ -14,26 +14,28 @@ numeric comparison, with no symbolic case analysis to get wrong.
 Soundness of the whole approach rests on one fact about ``REG*``: a
 region may be an arbitrary finite union of full-dimensional pieces, so
 *any* placement of material into (closed) grid cells that is compatible
-with the region's bounding box is realisable by small rectangles.  Hence:
+with the region's bounding box is realisable by small rectangles.  Hence
+the *realisability lemma*: the relations a region with a given box can
+have against a grid are exactly the sets of cells that
 
-* a relation ``R`` (a set of cells of the reference grid) is realisable
-  by a region with a given box iff every cell of ``R`` has a
-  full-dimensional intersection with the box (*reachability*) and the
-  cells of ``R`` let the region touch all four sides of its box
-  (*attainment*) — :func:`relation_realizable_for_box`;
-* conversely, the set of relations realisable by a region with a given
-  box is exactly the family of reachable cell sets hitting all four
-  attainment groups — :func:`occupancy_options`.
+* each meet the box full-dimensionally (*reachability*), and
+* let the region touch all four sides of its box (*attainment*: for each
+  side, one of the cells has a band reaching that side).
+
+:func:`placement_table` applies the lemma once per placement, for the box
+against the reference grid and for the reference square against the
+box's own grid, and keeps which reference tiles each tile of the box's
+grid overlaps.  Inverse, composition and the witness builders read it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import FrozenSet, Iterable, List, NamedTuple, Set, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from repro.core.relation import CardinalDirection
 from repro.core.tiles import Tile
+from repro.geometry.point import Coordinate
 
 #: Concrete coordinates for the reference grid lines on both axes.
 GRID_LO: int = 0
@@ -43,28 +45,13 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
-class Interval(NamedTuple):
-    """A (possibly unbounded) open interval used for band arithmetic."""
-
-    lo: object
-    hi: object
-
-    def overlaps_open(self, other: "Interval") -> bool:
-        """True when the two intervals share a full-dimensional stretch."""
-        lo = self.lo if self.lo >= other.lo else other.lo
-        hi = self.hi if self.hi <= other.hi else other.hi
-        return lo < hi
-
-
-def band(g_lo: object, g_hi: object, index: int) -> Interval:
-    """The axis band of a grid: ``-1`` below ``g_lo``, ``0`` between, ``+1`` above."""
-    if index == -1:
-        return Interval(NEG_INF, g_lo)
-    if index == 0:
-        return Interval(g_lo, g_hi)
-    if index == 1:
-        return Interval(g_hi, POS_INF)
-    raise ValueError(f"band index must be -1, 0 or 1, got {index}")
+def grid_bands(
+    g_lo: Coordinate, g_hi: Coordinate
+) -> Tuple[Tuple[Coordinate, Coordinate], ...]:
+    """The ``(lo, hi)`` bounds of a grid's three bands on one axis, indexed
+    by band + 1: below ``g_lo`` (unbounded), between, above ``g_hi``
+    (unbounded)."""
+    return (NEG_INF, g_lo), (g_lo, g_hi), (g_hi, POS_INF)
 
 
 class AxisPlacement(NamedTuple):
@@ -120,76 +107,96 @@ def box_placements() -> Iterable[BoxPlacement]:
         yield BoxPlacement(x, y)
 
 
-def _tile_bands(tile: Tile, g_lo, g_hi) -> Tuple[Interval, Interval]:
-    return band(g_lo, g_hi, tile.column), band(g_lo, g_hi, tile.row)
+def _axis_masks(lo, hi, g_lo, g_hi) -> Tuple[int, int, int]:
+    """The bands (bit band + 1) of the grid ``(g_lo, g_hi)`` that the span
+    ``(lo, hi)`` reaches full-dimensionally, and those of them reaching
+    down to ``lo`` and up to ``hi``."""
+    reached = low = high = 0
+    for index, (band_lo, band_hi) in enumerate(grid_bands(g_lo, g_hi)):
+        if max(band_lo, lo) < min(band_hi, hi):
+            reached |= 1 << index
+            if band_lo <= lo:
+                low |= 1 << index
+            if band_hi >= hi:
+                high |= 1 << index
+    return reached, low, high
 
 
-def relation_realizable_for_box(
-    relation: CardinalDirection, placement: BoxPlacement
-) -> bool:
-    """Can a region with box ``placement`` occupy exactly ``relation``'s tiles
-    of the (0, 10) reference grid?
+def _tiles(columns: int, rows: int) -> int:
+    """The tile mask of the tiles in column bands ``columns`` and row
+    bands ``rows`` (band masks as :func:`_axis_masks` returns them)."""
+    return sum(
+        1 << tile
+        for tile in Tile
+        if columns >> (tile.column + 1) & 1 and rows >> (tile.row + 1) & 1
+    )
 
-    Requires (a) every tile of the relation to intersect the box
-    full-dimensionally and (b) tiles of the relation to allow the region
-    to attain all four sides of its box.
+
+def hitting_sets(allowed: int, groups: Sequence[int]) -> int:
+    """The member mask of the tile sets inside ``allowed`` that meet every
+    tile mask of ``groups``: bit ``m`` is set for each such tile mask
+    ``m``, found by walking the submasks of ``allowed``."""
+    members = 0
+    submask = allowed
+    while submask:
+        if all(submask & group for group in groups):
+            members |= 1 << submask
+        submask = (submask - 1) & allowed
+    return members
+
+
+def _realisable(box_x, box_y, grid_x, grid_y) -> int:
+    """The member mask of the relations a region with sides ``box_x``,
+    ``box_y`` can have against the grid with lines ``grid_x``, ``grid_y``:
+    the reachable tile sets meeting all four attainment groups."""
+    reached_x, low_x, high_x = _axis_masks(*box_x, *grid_x)
+    reached_y, low_y, high_y = _axis_masks(*box_y, *grid_y)
+    return hitting_sets(
+        _tiles(reached_x, reached_y),
+        (
+            _tiles(low_x, reached_y),
+            _tiles(high_x, reached_y),
+            _tiles(reached_x, low_y),
+            _tiles(reached_x, high_y),
+        ),
+    )
+
+
+class PlacementRow(NamedTuple):
+    """One placement of a box against the (0, 10) reference grid.
+
+    ``admits`` is the member mask of the relations a region with the box
+    can have against the reference grid; ``converse`` the member mask of
+    those the reference square ``[0, 10]²`` can have against the box's
+    own grid.  ``cell_map[int(t)]`` is the tile mask of the reference
+    tiles that tile ``t`` of the box's grid overlaps full-dimensionally.
     """
-    px = Interval(placement.x.p1, placement.x.p2)
-    py = Interval(placement.y.p1, placement.y.p2)
-    for tile in relation.tiles:
-        band_x, band_y = _tile_bands(tile, GRID_LO, GRID_HI)
-        if not (band_x.overlaps_open(px) and band_y.overlaps_open(py)):
-            return False
-    tiles = relation.tiles
-    attain_lo_x = any(band(GRID_LO, GRID_HI, t.column).lo <= placement.x.p1 for t in tiles)
-    attain_hi_x = any(band(GRID_LO, GRID_HI, t.column).hi >= placement.x.p2 for t in tiles)
-    attain_lo_y = any(band(GRID_LO, GRID_HI, t.row).lo <= placement.y.p1 for t in tiles)
-    attain_hi_y = any(band(GRID_LO, GRID_HI, t.row).hi >= placement.y.p2 for t in tiles)
-    return attain_lo_x and attain_hi_x and attain_lo_y and attain_hi_y
+
+    placement: BoxPlacement
+    admits: int
+    converse: int
+    cell_map: Tuple[int, ...]
 
 
-def occupancy_options(
-    box_x: Interval,
-    box_y: Interval,
-    grid_x: Tuple[object, object],
-    grid_y: Tuple[object, object],
-) -> Set[FrozenSet[Tile]]:
-    """All exact tile-occupancy sets of a region with the given box against
-    the grid with lines ``grid_x`` / ``grid_y``.
-
-    The result is the family of subsets ``T`` of the reachable cells such
-    that ``T`` hits each of the four attainment groups (cells through
-    which the region can touch the corresponding side of its box).
-    """
-    reachable: List[Tile] = []
-    groups: Tuple[List[int], List[int], List[int], List[int]] = ([], [], [], [])
-    for tile in Tile:
-        band_x = band(grid_x[0], grid_x[1], tile.column)
-        band_y = band(grid_y[0], grid_y[1], tile.row)
-        if not (band_x.overlaps_open(box_x) and band_y.overlaps_open(box_y)):
-            continue
-        index = len(reachable)
-        reachable.append(tile)
-        if band_x.lo <= box_x.lo:
-            groups[0].append(index)
-        if band_x.hi >= box_x.hi:
-            groups[1].append(index)
-        if band_y.lo <= box_y.lo:
-            groups[2].append(index)
-        if band_y.hi >= box_y.hi:
-            groups[3].append(index)
-    group_masks = []
-    for group in groups:
-        mask = 0
-        for index in group:
-            mask |= 1 << index
-        group_masks.append(mask)
-    options: Set[FrozenSet[Tile]] = set()
-    for subset in range(1, 1 << len(reachable)):
-        if all(subset & mask for mask in group_masks):
-            options.add(
-                frozenset(
-                    reachable[i] for i in range(len(reachable)) if subset >> i & 1
-                )
+@lru_cache(maxsize=1)
+def placement_table() -> Tuple[PlacementRow, ...]:
+    """The 169 placements in :func:`box_placements` order, built on first
+    use and kept for the process (``compose.cache_clear()`` leaves it)."""
+    reference = (GRID_LO, GRID_HI)
+    table: List[PlacementRow] = []
+    for placement in box_placements():
+        x, y = placement
+        columns = [_axis_masks(*band, *reference)[0] for band in grid_bands(*x)]
+        rows = [_axis_masks(*band, *reference)[0] for band in grid_bands(*y)]
+        cell_map = tuple(
+            _tiles(columns[tile.column + 1], rows[tile.row + 1]) for tile in Tile
+        )
+        table.append(
+            PlacementRow(
+                placement,
+                _realisable(x, y, reference, reference),
+                _realisable(reference, reference, x, y),
+                cell_map,
             )
-    return options
+        )
+    return tuple(table)

@@ -1,8 +1,8 @@
 """Precomputed relation tables.
 
 The inverse operator is pure and its domain is just the 511 basic
-relations, so the whole table can be materialised (about a second of
-enumeration), serialised, and shipped/cached.  Composition has 511² ≈
+relations, so the whole table can be materialised (tens of milliseconds,
+the placement table's build included), serialised, and shipped/cached.  Composition has 511² ≈
 261k entries and is therefore left lazy (its per-pair `lru_cache` serves
 interactive use), but single rows can be materialised on demand.
 

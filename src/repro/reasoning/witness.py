@@ -23,6 +23,10 @@ from repro.core.tiles import Tile
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.polygon import Polygon
 from repro.geometry.region import Region
+from repro.reasoning.orderings import GRID_HI, GRID_LO, grid_bands, placement_table
+
+#: The reference grid ``(0, 10)`` on one axis.
+_REFERENCE = (GRID_LO, GRID_HI)
 
 
 def _rect(x0, y0, x1, y1) -> Polygon:
@@ -64,53 +68,25 @@ def witness_pair(
 ) -> Optional[Tuple[Region, Region]]:
     """Concrete regions with ``a R1 b`` *and* ``b R2 a``, or ``None``.
 
-    Searches the qualitative placements of ``mbb(a)`` against ``mbb(b)``'s
-    grid; in an admissible placement, ``a`` takes the maximal rectangle in
-    each tile of ``R1`` (clipped to its box) and ``b`` the maximal
-    rectangle in each cell of ``R2`` of ``a``'s grid (clipped to ``b``'s
-    box).  ``None`` is returned exactly when ``R2 ∉ inv(R1)`` — this is
-    the constructive counterpart of
+    Takes the first placement of ``mbb(a)`` against ``mbb(b)``'s grid
+    that admits ``R1`` and whose converse admits ``R2``; there ``a``
+    takes the maximal rectangle in each tile of ``R1`` (clipped to its
+    box) and ``b`` the maximal rectangle in each cell of ``R2`` of
+    ``a``'s grid (clipped to ``b``'s box).  ``None`` is returned exactly
+    when ``R2 ∉ inv(R1)`` — this is the constructive counterpart of
     :func:`repro.reasoning.inverse.pair_realizable`.
     """
-    from repro.reasoning.orderings import (
-        GRID_HI,
-        GRID_LO,
-        Interval,
-        band,
-        box_placements,
-        occupancy_options,
-        relation_realizable_for_box,
-    )
-
-    target = frozenset(r2.tiles)
-    for placement in box_placements():
-        if not relation_realizable_for_box(r1, placement):
+    for row in placement_table():
+        if not (row.admits >> r1.mask & 1 and row.converse >> r2.mask & 1):
             continue
-        options = occupancy_options(
-            Interval(GRID_LO, GRID_HI),
-            Interval(GRID_LO, GRID_HI),
-            (placement.x.p1, placement.x.p2),
-            (placement.y.p1, placement.y.p2),
-        )
-        if target not in options:
-            continue
-        box_a = BoundingBox(
-            placement.x.p1, placement.y.p1, placement.x.p2, placement.y.p2
-        )
+        x, y = row.placement
+        box_a = BoundingBox(x.p1, y.p1, x.p2, y.p2)
         box_b = BoundingBox(GRID_LO, GRID_LO, GRID_HI, GRID_HI)
         region_a = Region(
-            _maximal_tile_rect(tile, (GRID_LO, GRID_HI), (GRID_LO, GRID_HI), box_a)
+            _maximal_tile_rect(tile, _REFERENCE, _REFERENCE, box_a)
             for tile in r1.tiles
         )
-        region_b = Region(
-            _maximal_tile_rect(
-                tile,
-                (placement.x.p1, placement.x.p2),
-                (placement.y.p1, placement.y.p2),
-                box_b,
-            )
-            for tile in r2.tiles
-        )
+        region_b = Region(_maximal_tile_rect(tile, x, y, box_b) for tile in r2.tiles)
         return region_a, region_b
     return None
 
@@ -119,15 +95,12 @@ def _maximal_tile_rect(
     tile: Tile, grid_x, grid_y, box: BoundingBox
 ) -> Polygon:
     """The maximal rectangle of ``box`` lying inside a (closed) grid tile."""
-    from repro.reasoning.orderings import band
-
-    band_x = band(grid_x[0], grid_x[1], tile.column)
-    band_y = band(grid_y[0], grid_y[1], tile.row)
-    x0 = max(band_x.lo, box.min_x)
-    x1 = min(band_x.hi, box.max_x)
-    y0 = max(band_y.lo, box.min_y)
-    y1 = min(band_y.hi, box.max_y)
-    return _rect(x0, y0, x1, y1)
+    x_lo, x_hi = grid_bands(*grid_x)[tile.column + 1]
+    y_lo, y_hi = grid_bands(*grid_y)[tile.row + 1]
+    return _rect(
+        max(x_lo, box.min_x), max(y_lo, box.min_y),
+        min(x_hi, box.max_x), min(y_hi, box.max_y),
+    )
 
 
 def witness_triple(
@@ -139,57 +112,38 @@ def witness_triple(
     ``compose(R1, R2)`` — the constructive counterpart of
     :func:`repro.reasoning.composition.compose`.
     """
-    from repro.reasoning.composition import _cell_map
-    from repro.reasoning.orderings import (
-        GRID_HI,
-        GRID_LO,
-        band,
-        box_placements,
-        relation_realizable_for_box,
-    )
-
-    for placement in box_placements():
-        if not relation_realizable_for_box(r2, placement):
+    for row in placement_table():
+        if not row.admits >> r2.mask & 1:
             continue
-        cmap = _cell_map(placement)
-        target_mask = 0
-        for tile in r3.tiles:
-            target_mask |= 1 << int(tile)
+        cmap = row.cell_map
         allowed = 0
         for tile in r1.tiles:
             allowed |= cmap[tile]
-        if target_mask & ~allowed:
+        if r3.mask & ~allowed:
             continue  # some R3 tile is unreachable from R1's tiles
-        if any(not (target_mask & cmap[tile]) for tile in r1.tiles):
+        if any(not (r3.mask & cmap[tile]) for tile in r1.tiles):
             continue  # some R1 tile cannot contribute material inside R3
-        # Build the witnesses.
-        c_box = BoundingBox(GRID_LO, GRID_LO, GRID_HI, GRID_HI)
+        x, y = row.placement
         region_c = Region([_rect(GRID_LO, GRID_LO, GRID_HI, GRID_HI)])
-        b_box = BoundingBox(
-            placement.x.p1, placement.y.p1, placement.x.p2, placement.y.p2
-        )
+        b_box = BoundingBox(x.p1, y.p1, x.p2, y.p2)
         region_b = Region(
-            _maximal_tile_rect(tile, (GRID_LO, GRID_HI), (GRID_LO, GRID_HI), b_box)
+            _maximal_tile_rect(tile, _REFERENCE, _REFERENCE, b_box)
             for tile in r2.tiles
         )
+        b_columns, b_rows = grid_bands(*x), grid_bands(*y)
+        c_bands = grid_bands(*_REFERENCE)
         pieces: List[Polygon] = []
-        b_grid_x = (placement.x.p1, placement.x.p2)
-        b_grid_y = (placement.y.p1, placement.y.p2)
         for b_tile in r1.tiles:
             for c_tile in r3.tiles:
-                if not (cmap[b_tile] >> int(c_tile)) & 1:
+                if not (cmap[b_tile] >> c_tile) & 1:
                     continue
-                band_x = _intersect_bands(
-                    band(b_grid_x[0], b_grid_x[1], b_tile.column),
-                    band(GRID_LO, GRID_HI, c_tile.column),
+                x0, x1 = _intersect_bands(
+                    b_columns[b_tile.column + 1], c_bands[c_tile.column + 1]
                 )
-                band_y = _intersect_bands(
-                    band(b_grid_y[0], b_grid_y[1], b_tile.row),
-                    band(GRID_LO, GRID_HI, c_tile.row),
+                y0, y1 = _intersect_bands(
+                    b_rows[b_tile.row + 1], c_bands[c_tile.row + 1]
                 )
-                pieces.append(
-                    _rect(band_x[0], band_y[0], band_x[1], band_y[1])
-                )
+                pieces.append(_rect(x0, y0, x1, y1))
         region_a = Region(pieces)
         return region_a, region_b, region_c
     return None
@@ -202,7 +156,7 @@ _FAR = 40
 
 def _intersect_bands(first, second) -> Tuple[int, int]:
     """Intersect two (possibly unbounded) bands and clamp to ±_FAR."""
-    return max(first.lo, second.lo, -_FAR), min(first.hi, second.hi, _FAR)
+    return max(first[0], second[0], -_FAR), min(first[1], second[1], _FAR)
 
 
 def _band_index(lo, hi, grid_lo, grid_hi) -> Optional[int]:

@@ -1,6 +1,7 @@
 """Tests for composition (E-level: companion results [20, 22]) —
 symbolic results cross-validated against Compute-CDR on geometry."""
 
+import hashlib
 import random
 
 import pytest
@@ -51,6 +52,24 @@ class TestKnownCompositions:
 
     def test_sw_sw_is_sw(self):
         assert compose(cd("SW"), cd("SW")) == DisjunctiveCD((cd("SW"),))
+
+    def test_pinned_compositions(self):
+        """sha256 over ``(r1.mask, r2.mask, compose(r1, r2).mask)`` for
+        the 81 single-tile pairs and 400 pairs drawn from
+        ``random.Random(5)``: a changed member of any of these 481
+        compositions changes the digest."""
+        singles = [r for r in ALL_BASIC_RELATIONS if r.is_single_tile]
+        rng = random.Random(5)
+        pairs = [(r1, r2) for r1 in singles for r2 in singles] + [
+            (rng.choice(ALL_BASIC_RELATIONS), rng.choice(ALL_BASIC_RELATIONS))
+            for _ in range(400)
+        ]
+        digest = hashlib.sha256()
+        for r1, r2 in pairs:
+            digest.update(f"{r1.mask},{r2.mask},{compose(r1, r2).mask};".encode())
+        assert digest.hexdigest() == (
+            "ad75d0983a04b76f49a005c9c3f610f85865c6bc2204f6e6c1d495c3824e2058"
+        )
 
     def test_composition_never_empty(self):
         """Every pair of basic relations is jointly realisable (choose b

@@ -1,5 +1,7 @@
 """Tests for precomputed relation tables."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ReasoningError
@@ -11,6 +13,8 @@ from repro.reasoning.tables import (
     load_inverse_table,
     save_inverse_table,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "inverse_table.txt"
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +29,11 @@ class TestFullInverseTable:
     def test_matches_operator(self, table):
         for relation in ALL_BASIC_RELATIONS[::61]:
             assert table[relation] == inverse(relation)
+
+    def test_matches_the_golden_file(self, table):
+        """``data/inverse_table.txt`` is the saved table (511 lines,
+        1,621 members); every inverse must equal its line exactly."""
+        assert load_inverse_table(GOLDEN) == table
 
     def test_global_involution_property(self, table):
         """For every R and every S in inv(R): R in inv(S) — checked over
